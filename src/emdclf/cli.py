@@ -5,7 +5,7 @@ Commands
 extract    --manifest M --out DIR [--max-imfs 5]
 evaluate   --cache F --out DIR [--folds 5] [--seed 42] [--positive 1]
            [--knn-k 10] [--svm-c 1.0] [--trees 30] [--logreg-lambda 1e-4]
-decompose  --wav F --out CSV
+decompose  --wav F --out CSV [--max-imfs 5]
 version
 
 Exit codes: 0 ok, 2 manifest/config problem, 3 audio/extraction failure,
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifiers import ALGORITHMS, TrainConfig
-from .emd import decompose, write_decomposition_csv
+from .emd import DEFAULT_MAX_IMFS, decompose, write_decomposition_csv
 from .errors import (BadHeader, BadLabel, CacheFormatError, DegenerateSignal,
                      EmptyAudio, EmptyManifest, Error, MalformedWav,
                      MissingFile, NoUsableAudio, SingleClassData,
@@ -53,7 +53,7 @@ class RunConfig:
 
     manifest: Path | None = None
     out_dir: Path = Path(".")
-    max_imfs: int = 5
+    max_imfs: int = DEFAULT_MAX_IMFS
     folds: int = 5
     seed: int = 42
     positive: int = 1
@@ -122,7 +122,7 @@ def run_extract(config: RunConfig) -> Path:
             dec = decompose(sig, max_imfs=config.max_imfs)
             vectors.append(extract_feature_vector(dec, sig.sample_rate_hz))
             labels.append(entry.label)
-        except Error as exc:
+        except (Error, ValueError) as exc:
             failures.append((entry.path.name, f"{type(exc).__name__}: {exc}"))
 
     errors_path = config.out_dir / "errors.csv"
@@ -179,23 +179,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="decode WAVs and write the feature cache")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--max-imfs", type=int, default=5)
+    p.add_argument("--max-imfs", type=int, default=RunConfig.max_imfs)
 
     p = sub.add_parser("evaluate", help="cross-validate the five classifiers")
     p.add_argument("--cache", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--positive", type=int, default=1, choices=(0, 1))
-    p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--svm-c", type=float, default=1.0)
-    p.add_argument("--trees", type=int, default=30)
-    p.add_argument("--logreg-lambda", type=float, default=1e-4)
+    p.add_argument("--folds", type=int, default=RunConfig.folds)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--positive", type=int, default=RunConfig.positive, choices=(0, 1))
+    p.add_argument("--knn-k", type=int, default=RunConfig.knn_k)
+    p.add_argument("--svm-c", type=float, default=RunConfig.svm_c)
+    p.add_argument("--trees", type=int, default=RunConfig.n_trees)
+    p.add_argument("--logreg-lambda", type=float, default=RunConfig.logreg_lambda)
 
     p = sub.add_parser("decompose", help="dump one decomposition as CSV")
     p.add_argument("--wav", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--max-imfs", type=int, default=5)
+    p.add_argument("--max-imfs", type=int, default=RunConfig.max_imfs)
 
     sub.add_parser("version", help="print the toolkit version")
     return parser
@@ -226,10 +226,11 @@ def main(argv=None) -> int:
             run_evaluate(config, args.cache)
             print((config.out_dir / "summary.txt").read_text(), end="")
         elif args.command == "decompose":
+            config = RunConfig(max_imfs=args.max_imfs)
             if not args.wav.is_file():
                 raise MissingFile(str(args.wav))
             sig = z_normalize(decode_wav(args.wav.read_bytes(), source_id=args.wav.name))
-            dec = decompose(sig, max_imfs=args.max_imfs)
+            dec = decompose(sig, max_imfs=config.max_imfs)
             write_decomposition_csv(args.out, sig, dec)
             print(f"wrote {args.out} ({len(dec.imfs)} modes)")
     except Error as exc:

@@ -178,15 +178,10 @@ def mean_envelope(samples) -> np.ndarray:
     Needs at least 2 maxima and 2 minima; raises InsufficientExtrema
     otherwise.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    ext = find_local_extrema(x)
-    if ext.maxima_idx.size < 2 or ext.minima_idx.size < 2:
-        raise InsufficientExtrema(
-            f"{ext.maxima_idx.size} maxima / {ext.minima_idx.size} minima")
-    n = x.size
-    upper = spline_envelope(*_mirrored_knots(ext.maxima_idx, x[ext.maxima_idx], n), n)
-    lower = spline_envelope(*_mirrored_knots(ext.minima_idx, x[ext.minima_idx], n), n)
-    return 0.5 * (upper + lower)
+    check, envelope = _check_candidate(np.asarray(samples, dtype=np.float64))
+    if envelope is None:
+        raise InsufficientExtrema(f"{check.n_maxima} maxima / {check.n_minima} minima")
+    return envelope
 
 
 def count_zero_crossings(samples) -> int:
@@ -204,7 +199,11 @@ def count_zero_crossings(samples) -> int:
 
 
 def _check_candidate(x: np.ndarray):
-    """Mode test plus the envelope it computed (None when unavailable)."""
+    """Mode test plus the envelope mean it computed (None when unavailable).
+
+    The only place that finds extrema, counts zero crossings and builds the
+    envelopes; every other caller reads its result.
+    """
     ext = find_local_extrema(x)
     n_max, n_min = ext.maxima_idx.size, ext.minima_idx.size
     crossings = count_zero_crossings(x)
@@ -231,11 +230,7 @@ def is_imf(samples) -> ImfCheck:
     within SYMMETRY_TOL of the peak amplitude. The returned object is truthy
     exactly when the test passes and carries the diagnostic counts.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < 3:
-        raise TooShort(f"need >= 3 samples, got {x.size}")
-    check, _ = _check_candidate(x)
-    return check
+    return _check_candidate(np.asarray(samples, dtype=np.float64))[0]
 
 
 def sift(samples, max_iters: int = MAX_SIFT_ITERS):
@@ -251,25 +246,23 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
 
     Returns
     -------
-    (ndarray, int)
-        The candidate (unchanged input if it already passes the mode test)
-        and the number of subtractions performed.
+    (ndarray, int, ImfCheck)
+        The candidate as a new array (equal to the input if it already
+        passes the mode test), the number of subtractions performed, and
+        the mode test of the returned candidate, equal to ``is_imf`` of it.
+        Sifting stops when the candidate passes, when it has too few
+        extrema for an envelope, or after `max_iters` subtractions.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    ext = find_local_extrema(x)
-    if ext.maxima_idx.size < 2 or ext.minima_idx.size < 2:
-        raise InsufficientExtrema(
-            f"{ext.maxima_idx.size} maxima / {ext.minima_idx.size} minima")
-
-    h = x.copy()
+    h = np.array(samples, dtype=np.float64)
+    check, envelope = _check_candidate(h)
+    if envelope is None:
+        raise InsufficientExtrema(f"{check.n_maxima} maxima / {check.n_minima} minima")
     iters = 0
-    while iters < max_iters:
-        check, envelope = _check_candidate(h)
-        if check.passed or envelope is None:
-            break
+    while not check and envelope is not None and iters < max_iters:
         h = h - envelope
         iters += 1
-    return h, iters
+        check, envelope = _check_candidate(h)
+    return h, iters, check
 
 
 def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposition:
@@ -283,14 +276,12 @@ def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposit
     residual = signal.samples.copy()
     imfs: list[np.ndarray] = []
     counts: list[int] = []
-    while len(imfs) < max_imfs:
-        if residual.size < 3:
+    while len(imfs) < max_imfs and residual.size >= 3:
+        try:
+            h, iters, check = sift(residual)
+        except InsufficientExtrema:
             break
-        ext = find_local_extrema(residual)
-        if ext.maxima_idx.size < 2 or ext.minima_idx.size < 2:
-            break
-        h, iters = sift(residual)
-        if not is_imf(h):
+        if not check:
             break
         imfs.append(h)
         counts.append(iters)

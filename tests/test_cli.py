@@ -87,6 +87,19 @@ class TestRunExtract:
         run_extract(RunConfig(manifest=manifest, out_dir=out))
         assert "DegenerateSignal" in (out / "errors.csv").read_text()
 
+    def test_invalid_signal_goes_to_sidecar(self, tmp_path):
+        wav = encode_wav(np.sin(np.linspace(0, 20, 400)), RATE)
+        (tmp_path / "a.wav").write_bytes(wav)
+        (tmp_path / "zero_rate.wav").write_bytes(encode_wav(np.sin(np.linspace(0, 20, 400)), 0))
+        (tmp_path / "c.wav").write_bytes(wav)
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\na.wav,0\nzero_rate.wav,1\nc.wav,1\n")
+        out = tmp_path / "out"
+        assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 0
+        assert len((out / "features.csv").read_text().splitlines()) - 1 == 2
+        sidecar_rows = (out / "errors.csv").read_text().splitlines()
+        assert sidecar_rows[1:] == ["zero_rate.wav,ValueError: sample rate must be positive"]
+
     def test_all_failures_fatal(self, tmp_path):
         bad = tmp_path / "x.wav"
         bad.write_bytes(b"garbage")
@@ -205,6 +218,14 @@ class TestMainEntry:
         code = main(["evaluate", "--cache", str(out / "features.csv"),
                      "--out", str(out), "--folds", "2"])
         assert code == 4
+
+    def test_decompose_max_imfs_validated(self, tmp_path, capsys):
+        wav = tmp_path / "tone.wav"
+        wav.write_bytes(encode_wav(np.sin(np.linspace(0, 20, 400)), RATE))
+        out = tmp_path / "d.csv"
+        assert main(["decompose", "--wav", str(wav), "--out", str(out),
+                     "--max-imfs", "0"]) == 2
+        assert not out.exists()
 
     def test_bad_missing_wav_decompose_exit_code(self, tmp_path, capsys):
         assert main(["decompose", "--wav", str(tmp_path / "no.wav"),

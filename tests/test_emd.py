@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from emdclf import emd
 from emdclf.errors import InsufficientExtrema, InsufficientKnots, TooShort
 from emdclf.signal import Signal
+from emdclf.synthetic import tone_burst
 
 
 def brute_force_extrema(x):
@@ -223,14 +226,15 @@ class TestSift:
     def test_sine_returned_unchanged(self):
         t = np.arange(1000) / 1000.0
         x = np.sin(2 * np.pi * 5 * t)
-        h, iters = emd.sift(x)
+        h, iters, _ = emd.sift(x)
         assert iters <= 2
         assert np.array_equal(h, x)
+        assert h is not x
 
     def test_two_tone_extracts_fast_component(self):
         t = np.arange(1000) / 1000.0
         x = np.sin(2 * np.pi * 50 * t) + 0.5 * np.sin(2 * np.pi * 5 * t)
-        h, _ = emd.sift(x)
+        h, _, _ = emd.sift(x)
         tone = np.sin(2 * np.pi * 50 * t)
         r = np.corrcoef(h[50:950], tone[50:950])[0, 1]
         assert r >= 0.95
@@ -240,7 +244,7 @@ class TestSift:
         for _ in range(1000):
             x = rng.standard_normal(int(rng.integers(32, 300)))
             try:
-                _, iters = emd.sift(x)
+                _, iters, _ = emd.sift(x)
             except InsufficientExtrema:
                 continue
             assert iters <= 100
@@ -248,6 +252,21 @@ class TestSift:
     def test_insufficient_extrema(self):
         with pytest.raises(InsufficientExtrema):
             emd.sift(np.linspace(0.0, 1.0, 50))
+
+    @pytest.mark.parametrize("x, max_iters, iters, passed", [
+        # converges
+        (np.sin(2 * np.pi * 50 * np.arange(1000) / 1000.0)
+         + 0.5 * np.sin(2 * np.pi * 5 * np.arange(1000) / 1000.0), 100, 1, True),
+        # capped after one subtraction
+        (np.random.default_rng(19).standard_normal(300), 1, 1, False),
+        # loses its extrema after two subtractions
+        (np.random.default_rng(30).standard_normal(8), 100, 2, False),
+    ], ids=["converges", "capped", "loses_extrema"])
+    def test_returned_check_is_mode_test_of_candidate(self, x, max_iters, iters, passed):
+        h, n, check = emd.sift(x, max_iters=max_iters)
+        assert (n, check.passed) == (iters, passed)
+        # assert_equal treats NaN envelope ratios as equal
+        np.testing.assert_equal(astuple(check), astuple(emd.is_imf(h)))
 
 
 class TestDecompose:
@@ -281,6 +300,14 @@ class TestDecompose:
             dec = emd.decompose(Signal(rng.standard_normal(600), 1000))
             for imf in dec.imfs:
                 assert emd.is_imf(imf)
+
+    def test_first_sift_capped_gives_no_modes(self):
+        x = tone_burst(np.random.default_rng([7, 1, 19]))
+        _, iters, check = emd.sift(x)
+        assert iters == emd.MAX_SIFT_ITERS and not check
+        dec = emd.decompose(Signal(x, 8000))
+        assert dec.imfs == [] and dec.sift_counts == []
+        assert np.array_equal(dec.residual, x)
 
     def test_at_most_max_imfs(self):
         rng = np.random.default_rng(17)
