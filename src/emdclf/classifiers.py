@@ -1,10 +1,12 @@
 """Five classical binary classifiers behind one fit/predict/score contract.
 
 All of them consume a LabeledDataset (or anything with .features/.labels)
-and produce a TrainedModel. `predict` returns hard 0/1 labels, `score` a
-confidence for label 1 in [0, 1] that is threshold-consistent with predict
-at 0.5. Everything is deterministic given the config (including the
-bootstrap seed), so repeated fits are bit-identical.
+and produce a TrainedModel. Each algorithm has one primitive, `score`: a
+confidence for label 1 in [0, 1]. `predict` is defined as `score >= 0.5`,
+so hard labels and scores never disagree at the threshold; a kNN vote tie
+scores half a vote toward the nearest neighbour's label. Everything is
+deterministic given the config (including the bootstrap seed), so repeated
+fits are bit-identical.
 
 Algorithms: k-nearest neighbours (squared-Euclidean votes), linear
 discriminant analysis (pooled covariance + ridge), logistic regression
@@ -106,14 +108,19 @@ def _as_matrix(model: TrainedModel, x):
 
 
 def predict(model: TrainedModel, x):
-    """Hard 0/1 label(s) for a feature row or an (n, d) batch."""
-    X, single = _as_matrix(model, x)
-    labels = _PREDICT[model.algorithm](model.params, X)
-    return int(labels[0]) if single else labels
+    """Hard 0/1 label(s) for a feature row or an (n, d) batch: score >= 0.5."""
+    labels = (np.asarray(score(model, x)) >= 0.5).astype(np.int64)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 def score(model: TrainedModel, x):
-    """Confidence for label 1 in [0, 1]; score >= 0.5 matches predict == 1."""
+    """Confidence for label 1 in [0, 1]; `predict` is score >= 0.5.
+
+    kNN scores the vote fraction, and a vote tie adds half a vote toward the
+    nearest neighbour's label (0.45 or 0.55 at k=10), which keeps ranking
+    monotone. Linear models score the sigmoid of the margin, held below 0.5
+    where a negative margin rounds to 0.5. Bagged trees score the vote fraction.
+    """
     X, single = _as_matrix(model, x)
     s = _SCORE[model.algorithm](model.params, X)
     return float(s[0]) if single else s
@@ -125,28 +132,16 @@ def _fit_knn(config, X, y):
     return {"X": X.copy(), "y": y.copy(), "k": int(config.k)}
 
 
-def _knn_neighbors(params, X):
+def _knn_score(params, X):
     T, yt = params["X"], params["y"]
     k = min(params["k"], T.shape[0])
     # squared distances rank the same as true Euclidean ones
     d2 = (T * T).sum(axis=1)[:, None] - 2.0 * (T @ X.T) + (X * X).sum(axis=1)[None, :]
     order = np.argsort(d2, axis=0, kind="stable")[:k, :]  # stable: index breaks distance ties
-    return yt[order], k
-
-
-def _knn_predict(params, X):
-    votes, k = _knn_neighbors(params, X)
+    votes = yt[order]
     ones = votes.sum(axis=0)
-    zeros = k - ones
-    out = (ones > zeros).astype(np.int64)
-    tied = ones == zeros
-    out[tied] = votes[0, tied]  # vote tie: nearest neighbour decides
-    return out
-
-
-def _knn_score(params, X):
-    votes, k = _knn_neighbors(params, X)
-    return votes.sum(axis=0) / k
+    # vote tie: half a vote toward the nearest neighbour's label
+    return (ones + np.where(2 * ones == k, votes[0] - 0.5, 0.0)) / k
 
 
 # --- lda ----------------------------------------------------------------------
@@ -176,12 +171,12 @@ def _sigmoid(z):
     return out
 
 
-def _linear_predict(params, X):
-    return ((X @ params["w"] + params["b"]) >= 0.0).astype(np.int64)
-
-
 def _linear_score(params, X):
-    return _sigmoid(X @ params["w"] + params["b"])
+    z = X @ params["w"] + params["b"]
+    s = _sigmoid(z)
+    # sigmoid rounds to exactly 0.5 for tiny negative z; keep those below 0.5
+    s[(z < 0.0) & (s == 0.5)] = np.nextafter(0.5, 0.0)
+    return s
 
 
 # --- logistic regression --------------------------------------------------------
@@ -346,29 +341,12 @@ def _fit_bagged_trees(config, X, y):
     return {"trees": trees, "n_trees": config.n_trees}
 
 
-def _bagged_votes(params, X):
+def _bagged_score(params, X):
     votes = np.empty((len(params["trees"]), X.shape[0]), dtype=np.int64)
     for t, tree in enumerate(params["trees"]):
         votes[t] = [_tree_predict_one(tree, row) for row in X]
-    return votes
+    return votes.mean(axis=0)  # a tied vote scores 0.5, so it predicts label 1
 
-
-def _bagged_predict(params, X):
-    frac = _bagged_votes(params, X).mean(axis=0)
-    return (frac >= 0.5).astype(np.int64)  # tie goes to label 1
-
-
-def _bagged_score(params, X):
-    return _bagged_votes(params, X).mean(axis=0)
-
-
-_PREDICT = {
-    "knn": _knn_predict,
-    "lda": _linear_predict,
-    "logreg": _linear_predict,
-    "svm_linear": _linear_predict,
-    "bagged_trees": _bagged_predict,
-}
 
 _SCORE = {
     "knn": _knn_score,
@@ -421,6 +399,17 @@ def model_from_json(text: str) -> TrainedModel:
     blob = json.loads(text)
     if blob.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {blob.get('version')}")
-    if blob.get("algorithm") not in ALGORITHMS:
+    algorithm = blob.get("algorithm")
+    if algorithm not in ALGORITHMS:
         raise ValueError("unknown algorithm in model blob")
-    return TrainedModel(blob["algorithm"], int(blob["feature_dim"]), restore(blob["params"]))
+    d = int(blob["feature_dim"])
+    params = restore(blob["params"])
+    if algorithm == "knn":
+        X, y, k = params["X"], params["y"], params["k"]
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"knn blob needs an integer k >= 1, got {k!r}")
+        if np.ndim(X) != 2 or np.shape(X)[1] != d or np.shape(y) != (len(X),):
+            raise ValueError(f"knn blob needs X of shape (n, {d}) and n labels")
+    elif algorithm != "bagged_trees" and np.shape(params["w"]) != (d,):
+        raise ValueError(f"linear blob needs w of shape ({d},)")
+    return TrainedModel(algorithm, d, params)

@@ -148,24 +148,27 @@ def roc(scores, y_true) -> RocCurve:
 
 def cross_validate(config, data, k: int = 5, seed: int = 0,
                    positive=1) -> CrossValidationResult:
-    """Fit on each fold complement, predict the fold, pool everything."""
+    """Fit on each fold complement, score the fold, pool everything.
+
+    Each fold is scored once; its hard labels are `score >= 0.5`, which is
+    how `classifiers.predict` is defined.
+    """
     X = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.int64)
     folds = stratified_kfold(y, k, seed)
 
-    y_true_parts, y_pred_parts, score_parts = [], [], []
+    y_true_parts, score_parts = [], []
     for fold in folds:
         train_mask = np.ones(y.size, dtype=bool)
         train_mask[fold] = False
         train = _ArrayDataset(X[train_mask], y[train_mask])
         model = classifiers.fit(config, train)
         y_true_parts.append(y[fold])
-        y_pred_parts.append(classifiers.predict(model, X[fold]))
         score_parts.append(classifiers.score(model, X[fold]))
 
     y_true = np.concatenate(y_true_parts)
-    y_pred = np.concatenate(y_pred_parts)
     s = np.concatenate(score_parts)
+    y_pred = (s >= 0.5).astype(np.int64)
 
     cm = confusion(y_true, y_pred, positive=positive)
     rep = metrics(cm)

@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emdclf.classifiers import (ALGORITHMS, TrainConfig, TrainedModel, fit,
                                 logreg_gradient, logreg_objective,
@@ -75,18 +80,36 @@ class TestKnn:
         y = rng.integers(0, 2, size=200)
         y[:2] = [0, 1]
         queries = rng.standard_normal((50, 5))
+        ties = 0
         for k in (1, 3, 10):
             model = fit(TrainConfig("knn", k=k), dataset(X, y))
             got = predict(model, queries)
-            for q, label in zip(queries, got):
+            got_scores = score(model, queries)
+            for q, label, s in zip(queries, got, got_scores):
                 d = np.sqrt(((X - q) ** 2).sum(axis=1))  # true Euclidean oracle
                 order = np.argsort(d, kind="stable")[:k]
                 ones = int(y[order].sum())
                 if ones * 2 == k:
                     expected = int(y[order[0]])
+                    expected_score = (ones + (0.5 if expected == 1 else -0.5)) / k
+                    ties += 1
                 else:
                     expected = int(ones * 2 > k)
+                    expected_score = ones / k
                 assert label == expected
+                assert s == expected_score
+        assert ties > 0  # the tie branch of the oracle was exercised
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_vote_tie_leans_to_nearest_neighbour(self, k):
+        # rows 0..k-1 on a line, labels alternate 0, 1, ...: every query sees a tie
+        X = np.arange(k, dtype=float)[:, None]
+        y = np.array([0, 1] * (k // 2))
+        model = fit(TrainConfig("knn", k=k), dataset(X, y))
+        assert score(model, [-1.0]) == (k // 2 - 0.5) / k  # nearest is row 0, label 0
+        assert predict(model, [-1.0]) == 0
+        assert score(model, [float(k)]) == (k // 2 + 0.5) / k  # nearest is labelled 1
+        assert predict(model, [float(k)]) == 1
 
     def test_squared_distance_ranking_equals_euclidean(self):
         rng = np.random.default_rng(2)
@@ -238,9 +261,38 @@ class TestScorePredictConsistency:
         queries = rng.standard_normal((200, 2)) * 3.0
         s = np.atleast_1d(score(model, queries))
         p = np.atleast_1d(predict(model, queries))
-        ties = s == 0.5
-        assert np.array_equal((s >= 0.5)[~ties], (p == 1)[~ties])
+        assert np.array_equal(s >= 0.5, p == 1)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
+
+    @pytest.mark.parametrize("algorithm", ["lda", "logreg", "svm_linear"])
+    def test_linear_margin_that_rounds_to_half(self, algorithm):
+        # sigmoid(-1e-17) rounds to exactly 0.5, yet the margin is negative
+        model = TrainedModel(algorithm, 1, {"w": [1.0], "b": 0.0})
+        assert score(model, [-1e-17]) < 0.5
+        assert predict(model, [-1e-17]) == 0
+        assert score(model, [0.0]) == 0.5
+        assert predict(model, [0.0]) == 1
+
+
+@pytest.fixture(scope="module")
+def overlapping_models():
+    """One model per algorithm, plus even-k kNN, on overlapping classes."""
+    data = two_gaussians(seed=16, n_per_class=30, offset=0.5)
+    models = {a: fit(TrainConfig(a, n_trees=10, seed=2), data) for a in ALGORITHMS}
+    models["knn_k2"] = fit(TrainConfig("knn", k=2), data)
+    return models
+
+
+@pytest.mark.parametrize("name", ALGORITHMS + ("knn_k2",))
+@settings(max_examples=40, deadline=None)
+@given(queries=arrays(np.float64, st.tuples(st.integers(1, 20), st.just(2)),
+                      elements=st.floats(-4.0, 4.0)))
+def test_score_predict_contract(overlapping_models, name, queries):
+    model = overlapping_models[name]
+    s = score(model, queries)
+    p = predict(model, queries)
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    assert np.array_equal(s >= 0.5, p == 1)
 
 
 class TestDeterminism:
@@ -269,6 +321,19 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):
             model_from_json('{"version": 99, "algorithm": "knn", "feature_dim": 1, "params": {}}')
+
+    @pytest.mark.parametrize("algorithm,changes", [
+        ("knn", {"k": 0}),
+        ("knn", {"X": {"__array__": [[0.0, 1.0, 2.0]] * 10}}),
+        ("knn", {"y": {"__array__": [0, 1]}}),
+        ("lda", {"w": {"__array__": [1.0, 2.0, 3.0]}}),
+    ])
+    def test_inconsistent_blob_rejected(self, algorithm, changes):
+        model = fit(TrainConfig(algorithm, k=3), two_gaussians(seed=15, n_per_class=5))
+        blob = json.loads(model_to_json(model))
+        blob["params"].update(changes)
+        with pytest.raises(ValueError):
+            model_from_json(json.dumps(blob))
 
 
 class TestSyntheticBenchmark:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from emdclf.classifiers import TrainConfig
+from emdclf import classifiers
+from emdclf.classifiers import TrainConfig, fit, predict, score
 from emdclf.errors import (Empty, EmptyMatrix, LengthMismatch,
                            SingleClassLabels, TooFewPerClass)
 from emdclf.evaluation import (ConfusionMatrix, confusion, cross_validate,
                                format_summary, metrics, rank_rows, roc,
                                stratified_kfold, write_metrics_csv)
+from emdclf.features import LabeledDataset
+
+from conftest import two_gaussians
 
 
 def mann_whitney_auc(scores, labels):
@@ -216,6 +220,36 @@ class TestCrossValidate:
         assert a.metrics.rec == pytest.approx(b.metrics.spe)
         assert a.metrics.spe == pytest.approx(b.metrics.rec)
         assert a.metrics.acc == pytest.approx(b.metrics.acc)
+
+    def test_each_fold_scored_once(self, monkeypatch):
+        data = two_gaussians(seed=17, n_per_class=40, offset=0.3)
+        config = TrainConfig("knn", k=10)
+        folds = stratified_kfold(data.labels, 5, seed=3)
+        y_true, y_pred, s = [], [], []
+        for fold in folds:
+            train = np.ones(len(data), dtype=bool)
+            train[fold] = False
+            model = fit(config, LabeledDataset(data.features[train], data.labels[train]))
+            y_true.append(data.labels[fold])
+            y_pred.append(predict(model, data.features[fold]))
+            s.append(score(model, data.features[fold]))
+        y_true, y_pred, s = map(np.concatenate, (y_true, y_pred, s))
+        assert np.any(np.isin(s, [0.45, 0.55]))  # the data has kNN vote ties
+
+        calls = []
+
+        def counting_score(model, x):
+            calls.append(len(x))
+            return score(model, x)
+
+        monkeypatch.setattr(classifiers, "predict", None)  # any call would raise
+        monkeypatch.setattr(classifiers, "score", counting_score)
+        result = cross_validate(config, data, k=5, seed=3)
+        assert calls == [len(fold) for fold in folds]
+        assert result.confusion == confusion(y_true, y_pred)
+        expected = roc(s, y_true)
+        assert np.array_equal(result.roc.points, expected.points)
+        assert result.roc.auc == expected.auc
 
 
 class TestReportHelpers:
