@@ -362,54 +362,61 @@ _SCORE = {
 _FORMAT_VERSION = 1
 
 
+def _encode(obj):
+    if not isinstance(obj, (np.ndarray, np.generic)):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {"__array__": obj.tolist()} if isinstance(obj, np.ndarray) else obj.item()
+
+
+def _decode(obj):
+    return np.asarray(obj["__array__"]) if obj.keys() == {"__array__"} else obj
+
+
+def _trees_fit(trees, d) -> bool:
+    stack, ok = list(trees), len(trees) > 0  # iterative: pure-grown trees can be deep
+    while ok and stack:
+        node = stack.pop()
+        if "label" in node:
+            ok = type(node["label"]) is int and node["label"] in (0, 1)
+        else:
+            ok = (type(node["feature"]) is int and 0 <= node["feature"] < d
+                  and isinstance(node["threshold"], (int, float)))
+            stack += [node["left"], node["right"]]
+    return ok
+
+
 def model_to_json(model: TrainedModel) -> str:
     """Versioned JSON blob; floats keep full precision via repr round-trip."""
-    def convert(obj):
-        if isinstance(obj, np.ndarray):
-            return {"__array__": obj.tolist()}
-        if isinstance(obj, dict):
-            return {k: convert(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [convert(v) for v in obj]
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        return obj
-
-    blob = {
-        "version": _FORMAT_VERSION,
-        "algorithm": model.algorithm,
-        "feature_dim": model.feature_dim,
-        "params": convert(model.params),
-    }
-    return json.dumps(blob)
+    blob = {"version": _FORMAT_VERSION, "algorithm": model.algorithm,
+            "feature_dim": model.feature_dim, "params": model.params}
+    return json.dumps(blob, default=_encode)
 
 
 def model_from_json(text: str) -> TrainedModel:
-    def restore(obj):
-        if isinstance(obj, dict):
-            if set(obj) == {"__array__"}:
-                return np.asarray(obj["__array__"])
-            return {k: restore(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [restore(v) for v in obj]
-        return obj
+    """Rebuild a model from `model_to_json` output.
 
-    blob = json.loads(text)
-    if blob.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {blob.get('version')}")
-    algorithm = blob.get("algorithm")
-    if algorithm not in ALGORITHMS:
-        raise ValueError("unknown algorithm in model blob")
-    d = int(blob["feature_dim"])
-    params = restore(blob["params"])
-    if algorithm == "knn":
-        X, y, k = params["X"], params["y"], params["k"]
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"knn blob needs an integer k >= 1, got {k!r}")
-        if np.ndim(X) != 2 or np.shape(X)[1] != d or np.shape(y) != (len(X),):
-            raise ValueError(f"knn blob needs X of shape (n, {d}) and n labels")
-    elif algorithm != "bagged_trees" and np.shape(params["w"]) != (d,):
-        raise ValueError(f"linear blob needs w of shape ({d},)")
+    Raises ValueError unless the text is a JSON object of this version and a
+    known algorithm, every key is present with the right type, `feature_dim`
+    d is an integer >= 1 and the params fit d: kNN needs an integer k >= 1,
+    X of shape (n, d) and n labels; linear models need w of shape (d,);
+    bagged_trees needs >= 1 tree of 0/1 leaves and of splits on an integer
+    feature in [0, d) with a numeric threshold and both children.
+    """
+    try:
+        blob = json.loads(text, object_hook=_decode)
+        algorithm, version = blob.get("algorithm"), blob.get("version")
+        if version != _FORMAT_VERSION or algorithm not in ALGORITHMS:
+            raise ValueError(f"unsupported {algorithm!r} blob version {version!r}")
+        d, params = blob["feature_dim"], blob["params"]
+        if algorithm == "knn":
+            X, y, k = params["X"], params["y"], params["k"]
+            ok = type(k) is int and k >= 1 and np.ndim(y) == 1 and np.shape(X) == (len(y), d)
+        elif algorithm == "bagged_trees":
+            ok = _trees_fit(params["trees"], d)
+        else:
+            ok = np.shape(params["w"]) == (d,)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed model blob: {exc!r}") from exc
+    if not (ok and type(d) is int and d >= 1):
+        raise ValueError(f"{algorithm} blob params are invalid for feature_dim {d!r}")
     return TrainedModel(algorithm, d, params)

@@ -20,6 +20,7 @@ Conventions fixed here (and relied on by the tests):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,11 +192,8 @@ def count_zero_crossings(samples) -> int:
     previous nonzero sign (leading zeros have none and never pair).
     """
     s = np.sign(np.asarray(samples, dtype=np.float64))
-    nz = s != 0.0
-    if not nz.any():
-        return 0
-    filled = s[np.maximum.accumulate(np.where(nz, np.arange(s.size), 0))]
-    return int(np.sum(filled[:-1] * filled[1:] < 0.0))
+    s = s[s != 0.0]  # dropping zeros pairs each sign with the previous nonzero one
+    return int(np.count_nonzero(s[1:] * s[:-1] < 0.0))
 
 
 def _check_candidate(x: np.ndarray):
@@ -291,20 +289,16 @@ def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposit
 
 
 def write_decomposition_csv(path_or_file, signal: Signal, dec: ImfDecomposition) -> None:
-    """Debug dump: columns t, input, imf1..imf5, residual (empty for absent modes)."""
+    """Debug dump: columns t, input, imf1..imf5, residual (empty for absent modes).
+
+    Takes a path or an open text handle and streams the rows into it; a path
+    is opened with ``newline=""`` so every platform writes LF line endings.
+    """
     n_cols = max(DEFAULT_MAX_IMFS, len(dec.imfs))
     header = "t,input," + ",".join(f"imf{i + 1}" for i in range(n_cols)) + ",residual"
-    rate = signal.sample_rate_hz
-    lines = [header]
-    for i in range(signal.samples.size):
-        cells = [f"{i / rate:.17g}", f"{signal.samples[i]:.17g}"]
-        for k in range(n_cols):
-            cells.append(f"{dec.imfs[k][i]:.17g}" if k < len(dec.imfs) else "")
-        cells.append(f"{dec.residual[i]:.17g}")
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+    t = np.arange(signal.samples.size) / signal.sample_rate_hz
+    table = np.column_stack([t, signal.samples, *dec.imfs, dec.residual])
+    cells = ["%.17g"] * (2 + len(dec.imfs)) + [""] * (n_cols - len(dec.imfs)) + ["%.17g"]
+    is_handle = hasattr(path_or_file, "write")
+    with nullcontext(path_or_file) if is_handle else open(path_or_file, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=",".join(cells), header=header, comments="")

@@ -197,11 +197,9 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    lines = ["fpr,tpr,threshold"]
-    for f, t, thr in zip(curve.fpr, curve.tpr, curve.thresholds):
-        lines.append(f"{f:.10g},{t:.10g},{thr:.10g}")
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, curve.points, fmt="%.10g", delimiter=",",
+                   header="fpr,tpr,threshold", comments="")
 
 
 def format_confusion_block(name: str, cm: ConfusionMatrix) -> str:

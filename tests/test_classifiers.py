@@ -20,6 +20,27 @@ def dataset(X, y):
     return LabeledDataset(np.asarray(X, float), np.asarray(y))
 
 
+DROP = object()  # marks a model-blob key to delete
+
+
+def _split(feature, left, right):
+    """A bagged-trees split node; a None child is left out."""
+    node = {"feature": feature, "threshold": 0.0, "left": left, "right": right}
+    return {k: v for k, v in node.items() if v is not None}
+
+
+def _without_feature_dim(blob):
+    return {k: v for k, v in blob.items() if k != "feature_dim"}
+
+
+def _not_an_object(blob):
+    return [1]
+
+
+def _fractional_feature_dim(blob):
+    return {**blob, "feature_dim": 2.5}
+
+
 class TestTrainConfig:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -327,11 +348,30 @@ class TestSerialization:
         ("knn", {"X": {"__array__": [[0.0, 1.0, 2.0]] * 10}}),
         ("knn", {"y": {"__array__": [0, 1]}}),
         ("lda", {"w": {"__array__": [1.0, 2.0, 3.0]}}),
+        ("bagged_trees", {"trees": [_split(5, {"label": 0}, {"label": 1})]}),
+        ("knn", {"y": DROP}),
+        ("lda", {"w": DROP}),
+        ("knn", _without_feature_dim),
+        ("knn", _not_an_object),
+        ("lda", _fractional_feature_dim),
+        ("bagged_trees", {"trees": []}),
+        ("bagged_trees", {"trees": [{"label": 2}]}),
+        ("bagged_trees", {"trees": [_split(-1, {"label": 0}, {"label": 1})]}),
+        ("bagged_trees", {"trees": [_split(1.0, {"label": 0}, {"label": 1})]}),
+        ("bagged_trees", {"trees": [_split(0, {"label": 0}, None)]}),
+        ("bagged_trees", {"trees": [_split(0, {"label": 0}, _split(1, {}, {"label": 1}))]}),
+        ("bagged_trees", {"trees": [{"feature": 0, "left": {"label": 0},
+                                     "right": {"label": 1}}]}),
     ])
     def test_inconsistent_blob_rejected(self, algorithm, changes):
+        """`changes` updates the params (DROP deletes a key) or maps the whole blob."""
         model = fit(TrainConfig(algorithm, k=3), two_gaussians(seed=15, n_per_class=5))
         blob = json.loads(model_to_json(model))
-        blob["params"].update(changes)
+        if callable(changes):
+            blob = changes(blob)
+        else:
+            blob["params"].update(changes)
+            blob["params"] = {k: v for k, v in blob["params"].items() if v is not DROP}
         with pytest.raises(ValueError):
             model_from_json(json.dumps(blob))
 

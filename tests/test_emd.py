@@ -2,11 +2,25 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emdclf import emd
 from emdclf.errors import InsufficientExtrema, InsufficientKnots, TooShort
 from emdclf.signal import Signal
 from emdclf.synthetic import tone_burst
+
+
+def zero_crossings_loop(x):
+    """The documented rule, one sample at a time: a zero sample inherits the
+    previous nonzero sign, leading zeros have none, and a crossing is a pair
+    of neighbours whose signs multiply to a negative number."""
+    filled, last = [], 0.0
+    for v in x:
+        if np.sign(v) != 0.0:
+            last = np.sign(v)
+        filled.append(last)
+    return sum(a * b < 0.0 for a, b in zip(filled, filled[1:]))
 
 
 def brute_force_extrema(x):
@@ -195,6 +209,11 @@ class TestZeroCrossings:
 
     def test_all_zero(self):
         assert emd.count_zero_crossings([0.0, 0.0, 0.0]) == 0
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats()),
+                    max_size=40))
+    def test_matches_sign_fill_loop(self, xs):
+        assert emd.count_zero_crossings(xs) == zero_crossings_loop(xs)
 
 
 class TestIsImf:

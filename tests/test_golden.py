@@ -4,17 +4,22 @@ The corpus (seed 3, 8 files per class, 2000 samples) exercises both early
 stops of `decompose`: in tone_000 the fifth sift hits the iteration cap
 without passing the mode test, and in tone_004 the residual runs out of
 extrema after three modes. A refactor must leave every digest and count
-below as it is.
+below as it is. The serializers are pinned too: the `decompose` dump of
+both early-stop files and the model blob of every algorithm.
 """
 
 import hashlib
+import io
 
 import pytest
 
 from emdclf import emd
+from emdclf.classifiers import ALGORITHMS, TrainConfig, fit, model_to_json
 from emdclf.cli import RunConfig, load_manifest, run_evaluate, run_extract
 from emdclf.signal import decode_wav, z_normalize
 from emdclf.synthetic import generate_corpus
+
+from conftest import two_gaussians
 
 REPORT_SHA256 = {
     "confusion.txt": "df4fd68da428ca95ff478b1e1e34502089352222c311189751ec250b38ea0c68",
@@ -48,15 +53,35 @@ SIFT_COUNTS = {
     "tone_007.wav": [35, 6, 1, 12, 3],
 }
 
+# tone_000 has 4 modes (empty imf5 column), tone_004 has 3
+DUMP_SHA256 = {
+    "tone_000.wav": "99f13306748b7db054f4c8680381911ac53cdd6eb11c1d8f04c0525a94024de4",
+    "tone_004.wav": "3818865d7db5f3902fb596b30c829b8fdec30d1eb57bbafa39fee89254257910",
+}
+
+# model_to_json of TrainConfig(algorithm, seed=9) on two_gaussians(seed=13, n_per_class=25)
+BLOB_SHA256 = {
+    "knn": "33c3f2daaffa7545c992c982bfa75e7e69358eeaa972c72eaf9d0be3ff6694da",
+    "lda": "0589d17e7e67a2b43d5c4c31347939ff245598722bd33e79612fd06ffdb8a8c0",
+    "logreg": "53e8e03ed7712881ad0f92ca40531aee528e1c11428a30ea6a0e0d76c813112e",
+    "svm_linear": "6c2c9823c261bc89c51e4c73abbcd0ebeff1c4267f58fbe5e52bf7c54f29add2",
+    "bagged_trees": "61b20730915cda4d7fe7504c9c3c63039a54e32f94ebbb640fd233cab0ffa70e",
+}
+
 
 @pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
+def golden_manifest(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    manifest = generate_corpus(root / "corpus", n_per_class=8, seed=3, n_samples=2000)
-    config = RunConfig(manifest=manifest, out_dir=root / "out")
+    return generate_corpus(root / "corpus", n_per_class=8, seed=3, n_samples=2000)
+
+
+@pytest.fixture(scope="module")
+def golden_run(golden_manifest):
+    config = RunConfig(manifest=golden_manifest,
+                       out_dir=golden_manifest.parent.parent / "out")
     run_evaluate(config, run_extract(config))
     decs = {}
-    for entry in load_manifest(manifest):
+    for entry in load_manifest(golden_manifest):
         sig = z_normalize(decode_wav(entry.path.read_bytes(), source_id=entry.path.name))
         decs[entry.path.name] = emd.decompose(sig)
     return config.out_dir, decs
@@ -80,3 +105,23 @@ def test_corpus_reaches_both_early_stops(golden_run):
     assert emd.sift(capped)[1] == emd.MAX_SIFT_ITERS
     ext = emd.find_local_extrema(decs["tone_004.wav"].residual)
     assert min(ext.maxima_idx.size, ext.minima_idx.size) < 2
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
+def test_decomposition_dump_bytes(golden_manifest, tmp_path, name):
+    wav = golden_manifest.parent / name
+    sig = z_normalize(decode_wav(wav.read_bytes(), source_id=name))
+    dec = emd.decompose(sig)
+    path = tmp_path / "dump.csv"
+    emd.write_decomposition_csv(path, sig, dec)
+    handle = io.StringIO()
+    emd.write_decomposition_csv(handle, sig, dec)
+    assert handle.getvalue().encode() == path.read_bytes()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_SHA256[name]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_model_blob_bytes(algorithm):
+    model = fit(TrainConfig(algorithm, seed=9), two_gaussians(seed=13, n_per_class=25))
+    digest = hashlib.sha256(model_to_json(model).encode()).hexdigest()
+    assert digest == BLOB_SHA256[algorithm]
