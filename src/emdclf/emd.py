@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import InsufficientExtrema, InsufficientKnots, TooShort
 from .signal import Signal
@@ -127,6 +127,21 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     ndarray
         Spline values at 0..n-1. Second derivative is zero at the first and
         last knot (natural boundary).
+
+    Raises
+    ------
+    ValueError
+        When the knot arrays differ in length, when the knots are not
+        strictly increasing, or when the system for the interior second
+        derivatives (three or more knots) holds an inf or a NaN.
+
+    Notes
+    -----
+    Cubes of the offsets from the knots are products, ``d * d * d``. With
+    integer knots (every caller in this package) the offsets are integers,
+    and while |d| <= 2**17 the product is exact, so it equals ``d**3`` bit
+    for bit. With non-integer knots the values agree with ``d**3`` to
+    rounding only.
     """
     xk = np.asarray(knot_idx, dtype=np.float64)
     yk = np.asarray(knot_val, dtype=np.float64)
@@ -134,11 +149,11 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
     if xk.size != yk.size:
         raise ValueError("knot index/value lengths differ")
-    if np.any(np.diff(xk) <= 0):
+    h = np.diff(xk)
+    if np.any(h <= 0):
         raise ValueError("knot indices must be strictly increasing")
 
     m = xk.size
-    h = np.diff(xk)
     M = np.zeros(m)  # second derivatives, natural ends stay zero
     if m > 2:
         # tridiagonal system for the interior second derivatives
@@ -146,21 +161,30 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         off = h[1:-1] / 6.0
         rhs = np.diff(yk) / h
         rhs = rhs[1:] - rhs[:-1]
-        ab = np.zeros((3, m - 2))
-        ab[0, 1:] = off
-        ab[1, :] = diag
-        ab[2, :-1] = off
-        M[1:-1] = solve_banded((1, 1), ab, rhs)
+        if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        if m == 3:  # one unknown; gtsv rejects empty off-diagonals
+            M[1] = rhs[0] / diag[0]
+        else:
+            _, _, _, M[1:-1], info = dgtsv(off, diag, off, rhs)
+            if info != 0:
+                raise np.linalg.LinAlgError("singular spline system")
 
+    # Grid point t lies on piece i, between knots i and i + 1, where knot i
+    # is the last knot <= t; the end pieces also take the points beyond the
+    # outer knots. So piece k >= 1 starts at the first integer >= knot k.
+    starts = np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp)
+    i = np.repeat(np.arange(m - 1), np.diff(np.concatenate(([0], starts, [n]))))
     t = np.arange(n, dtype=np.float64)
-    i = np.clip(np.searchsorted(xk, t, side="right") - 1, 0, m - 2)
-    hi = h[i]
-    left = xk[i + 1] - t
-    right = t - xk[i]
-    return (M[i] * left**3 / (6.0 * hi)
-            + M[i + 1] * right**3 / (6.0 * hi)
-            + (yk[i] / hi - M[i] * hi / 6.0) * left
-            + (yk[i + 1] / hi - M[i + 1] * hi / 6.0) * right)
+    left = xk[1:][i] - t
+    right = t - xk[:-1][i]
+    h6 = (6.0 * h)[i]
+    c_left = (yk[:-1] / h - M[:-1] * h / 6.0)[i]
+    c_right = (yk[1:] / h - M[1:] * h / 6.0)[i]
+    return (M[:-1][i] * (left * left * left) / h6
+            + M[1:][i] * (right * right * right) / h6
+            + c_left * left
+            + c_right * right)
 
 
 def _mirrored_knots(idx: np.ndarray, vals: np.ndarray, n: int):

@@ -2,8 +2,9 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from emdclf import emd
 from emdclf.errors import InsufficientExtrema, InsufficientKnots, TooShort
@@ -71,6 +72,63 @@ def natural_spline_oracle(xk, yk, t):
         out[idx] = (a * yk[i] + b * yk[i + 1]
                     + ((a**3 - a) * M[i] + (b**3 - b) * M[i + 1]) * hi * hi / 6.0)
     return out
+
+
+def _parent_spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
+    """The spline kernel before it called LAPACK's gtsv directly, copied
+    verbatim (searchsorted pieces, solve_banded, ``**3``). On integer knots
+    `emd.spline_envelope` must reproduce it bit for bit."""
+    xk = np.asarray(knot_idx, dtype=np.float64)
+    yk = np.asarray(knot_val, dtype=np.float64)
+    if xk.size < 2:
+        raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
+    if xk.size != yk.size:
+        raise ValueError("knot index/value lengths differ")
+    if np.any(np.diff(xk) <= 0):
+        raise ValueError("knot indices must be strictly increasing")
+
+    m = xk.size
+    h = np.diff(xk)
+    M = np.zeros(m)  # second derivatives, natural ends stay zero
+    if m > 2:
+        # tridiagonal system for the interior second derivatives
+        diag = (h[:-1] + h[1:]) / 3.0
+        off = h[1:-1] / 6.0
+        rhs = np.diff(yk) / h
+        rhs = rhs[1:] - rhs[:-1]
+        ab = np.zeros((3, m - 2))
+        ab[0, 1:] = off
+        ab[1, :] = diag
+        ab[2, :-1] = off
+        M[1:-1] = solve_banded((1, 1), ab, rhs)
+
+    t = np.arange(n, dtype=np.float64)
+    i = np.clip(np.searchsorted(xk, t, side="right") - 1, 0, m - 2)
+    hi = h[i]
+    left = xk[i + 1] - t
+    right = t - xk[i]
+    return (M[i] * left**3 / (6.0 * hi)
+            + M[i + 1] * right**3 / (6.0 * hi)
+            + (yk[i] / hi - M[i] * hi / 6.0) * left
+            + (yk[i + 1] / hi - M[i + 1] * hi / 6.0) * right)
+
+
+@st.composite
+def spline_cases(draw, integer_knots=True):
+    """(n, knot positions, knot values): n in 1..300, 2..40 knots (often 3)
+    anywhere in [-2n-5, 3n+5], so end pieces also extrapolate, and values
+    scaled by 1e-3..1e3. Non-integer knots are integers plus offsets in
+    [0, 0.5)."""
+    n = draw(st.integers(1, 300))
+    lo, hi = -2 * n - 5, 3 * n + 5
+    m = draw(st.one_of(st.just(3), st.integers(2, min(40, hi - lo + 1))))
+    xk = np.array(sorted(draw(st.lists(st.integers(lo, hi), min_size=m, max_size=m,
+                                       unique=True))), dtype=np.float64)
+    if not integer_knots:
+        xk += draw(st.lists(st.floats(0.0, 0.5, exclude_max=True), min_size=m, max_size=m))
+    scale = draw(st.floats(1e-3, 1e3))
+    yk = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    return n, xk, yk
 
 
 class TestFindLocalExtrema:
@@ -165,6 +223,39 @@ class TestSplineEnvelope:
     def test_unsorted_knots_rejected(self):
         with pytest.raises(ValueError):
             emd.spline_envelope([5, 2], [1.0, 2.0], 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spline_cases())
+    @example((10, np.array([-3.0, 4.0, 12.0]), np.array([0.5, -2.0, 1.0])))
+    @example((1, np.array([0.0, 2.0, 5.0]), np.array([1e3, -1e-3, 7.0])))
+    @example((7, np.array([-5.0, 20.0]), np.array([1.0, -1.0])))
+    def test_integer_knots_bit_identical_to_parent_kernel(self, case):
+        n, xk, yk = case
+        assert np.array_equal(emd.spline_envelope(xk, yk, n),
+                              _parent_spline_envelope(xk, yk, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spline_cases(integer_knots=False))
+    @example((10, np.array([-3.25, 4.5, 12.125]), np.array([0.5, -2.0, 1.0])))
+    def test_non_integer_knots_agree_to_rounding(self, case):
+        n, xk, yk = case
+        env = emd.spline_envelope(xk, yk, n)
+        parent = _parent_spline_envelope(xk, yk, n)
+        assert np.abs(env - parent).max() <= 1e-12 * np.abs(parent).max()
+
+    @pytest.mark.parametrize("xk, yk, n", [
+        ([0, 5, 10, 15], [0.0, np.nan, 0.0, 1.0], 20),
+        ([0, 5, 10], [0.0, np.inf, 0.0], 20),
+        ([0, 1, 2, 3], [0.0, 1e308, -1e308, 0.0], 4),  # the slopes overflow
+    ])
+    def test_non_finite_system_raises(self, xk, yk, n):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            emd.spline_envelope(xk, yk, n)
+
+    def test_two_knots_propagate_nan(self):
+        # no system to solve, so nothing is checked: the line is NaN
+        env = emd.spline_envelope([0, 5], [0.0, np.nan], 8)
+        assert env.shape == (8,) and np.isnan(env).all()
 
 
 class TestMeanEnvelope:

@@ -5,19 +5,22 @@ stops of `decompose`: in tone_000 the fifth sift hits the iteration cap
 without passing the mode test, and in tone_004 the residual runs out of
 extrema after three modes. A refactor must leave every digest and count
 below as it is. The serializers are pinned too: the `decompose` dump of
-both early-stop files and the model blob of every algorithm.
+both early-stop files, the one-mode dump of a 2^16-sample recording (its
+spline solves run over thousands of knots) and the model blob of every
+algorithm.
 """
 
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from emdclf import emd
 from emdclf.classifiers import ALGORITHMS, TrainConfig, fit, model_to_json
 from emdclf.cli import RunConfig, load_manifest, run_evaluate, run_extract
-from emdclf.signal import decode_wav, z_normalize
-from emdclf.synthetic import generate_corpus
+from emdclf.signal import decode_wav, encode_wav, z_normalize
+from emdclf.synthetic import generate_corpus, noise_burst
 
 from conftest import two_gaussians
 
@@ -58,6 +61,10 @@ DUMP_SHA256 = {
     "tone_000.wav": "99f13306748b7db054f4c8680381911ac53cdd6eb11c1d8f04c0525a94024de4",
     "tone_004.wav": "3818865d7db5f3902fb596b30c829b8fdec30d1eb57bbafa39fee89254257910",
 }
+
+# decompose(max_imfs=1) dump of noise_burst(default_rng([7, 0]), 2**16, 8000)
+# after a pcm16 round trip and z-scoring: one mode after 62 sifts
+LONG_DUMP_SHA256 = "16877365b14a700fef3c0be5453c39ead6b4da440c95c2756c04d4e2d9bd145f"
 
 # model_to_json of TrainConfig(algorithm, seed=9) on two_gaussians(seed=13, n_per_class=25)
 BLOB_SHA256 = {
@@ -118,6 +125,16 @@ def test_decomposition_dump_bytes(golden_manifest, tmp_path, name):
     emd.write_decomposition_csv(handle, sig, dec)
     assert handle.getvalue().encode() == path.read_bytes()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_SHA256[name]
+
+
+def test_long_recording_dump_bytes(tmp_path):
+    x = noise_burst(np.random.default_rng([7, 0]), 2**16, 8000)
+    sig = z_normalize(decode_wav(encode_wav(x, 8000, fmt="pcm16"), source_id="long"))
+    dec = emd.decompose(sig, max_imfs=1)
+    assert dec.sift_counts == [62]
+    path = tmp_path / "dump.csv"
+    emd.write_decomposition_csv(path, sig, dec)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LONG_DUMP_SHA256
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
