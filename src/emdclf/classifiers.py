@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteFeature, SingleClassData
 
-ALGORITHMS = ("knn", "lda", "logreg", "svm_linear", "bagged_trees")
-
 LDA_RIDGE = 1e-6
 LOGREG_TOL = 1e-8
 LOGREG_MAX_ITERS = 100
@@ -84,14 +82,7 @@ def _validate_training(data):
 def fit(config: TrainConfig, data) -> TrainedModel:
     """Train one model. Raises SingleClassData / NonFiniteFeature on bad input."""
     X, y = _validate_training(data)
-    fitter = {
-        "knn": _fit_knn,
-        "lda": _fit_lda,
-        "logreg": _fit_logreg,
-        "svm_linear": _fit_svm,
-        "bagged_trees": _fit_bagged_trees,
-    }[config.algorithm]
-    params = fitter(config, X, y)
+    params = _IMPL[config.algorithm][0](config, X, y)
     return TrainedModel(config.algorithm, X.shape[1], params)
 
 
@@ -122,7 +113,7 @@ def score(model: TrainedModel, x):
     where a negative margin rounds to 0.5. Bagged trees score the vote fraction.
     """
     X, single = _as_matrix(model, x)
-    s = _SCORE[model.algorithm](model.params, X)
+    s = _IMPL[model.algorithm][1](model.params, X)
     return float(s[0]) if single else s
 
 
@@ -348,13 +339,15 @@ def _bagged_score(params, X):
     return votes.mean(axis=0)  # a tied vote scores 0.5, so it predicts label 1
 
 
-_SCORE = {
-    "knn": _knn_score,
-    "lda": _linear_score,
-    "logreg": _linear_score,
-    "svm_linear": _linear_score,
-    "bagged_trees": _bagged_score,
+# name -> (fit, score); this order is the report's block order
+_IMPL = {
+    "knn": (_fit_knn, _knn_score),
+    "lda": (_fit_lda, _linear_score),
+    "logreg": (_fit_logreg, _linear_score),
+    "svm_linear": (_fit_svm, _linear_score),
+    "bagged_trees": (_fit_bagged_trees, _bagged_score),
 }
+ALGORITHMS = tuple(_IMPL)
 
 
 # --- serialization -----------------------------------------------------------------

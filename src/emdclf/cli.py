@@ -8,8 +8,8 @@ evaluate   --cache F --out DIR [--folds 5] [--seed 42] [--positive 1]
 decompose  --wav F --out CSV [--max-imfs 5]
 version
 
-Exit codes: 0 ok, 2 manifest/config problem, 3 audio/extraction failure,
-4 evaluation data problem, 1 anything unexpected.
+Exit codes: 0 ok, 2 missing input file or manifest/config problem,
+3 audio/extraction failure, 4 evaluation data problem, 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -49,7 +50,7 @@ class ManifestEntry:
 
 @dataclass
 class RunConfig:
-    """Everything one batch run needs; all randomness flows from `seed`."""
+    """Every CLI setting, checked on construction; all randomness flows from `seed`."""
 
     manifest: Path | None = None
     out_dir: Path = Path(".")
@@ -57,10 +58,10 @@ class RunConfig:
     folds: int = 5
     seed: int = 42
     positive: int = 1
-    knn_k: int = 10
-    svm_c: float = 1.0
-    n_trees: int = 30
-    logreg_lambda: float = 1e-4
+    knn_k: int = TrainConfig.k
+    svm_c: float = TrainConfig.c
+    n_trees: int = TrainConfig.n_trees
+    logreg_lambda: float = TrainConfig.lam
 
     def __post_init__(self):
         if self.folds < 2:
@@ -69,13 +70,27 @@ class RunConfig:
             raise ValueError("max-imfs must be in [1, 10]")
         if self.positive not in (0, 1):
             raise ValueError("positive must be 0 or 1")
+        self.train_configs()  # TrainConfig checks k, c, lambda, trees and seed
+
+    def train_configs(self) -> list[TrainConfig]:
+        """One TrainConfig per algorithm, in ALGORITHMS order."""
+        return [TrainConfig(algorithm=name, k=self.knn_k, c=self.svm_c,
+                            lam=self.logreg_lambda, n_trees=self.n_trees,
+                            seed=self.seed)
+                for name in ALGORITHMS]
+
+
+def _existing(path) -> Path:
+    """`path` as a Path; raises MissingFile unless it names a file."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(str(path))
+    return path
 
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Read `path,label` rows; relative paths resolve against the manifest dir."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
+    path = _existing(path)
     base = path.parent
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -103,6 +118,12 @@ def load_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def _decompose_file(path: Path, max_imfs: int):
+    """Decode -> z-normalize -> decompose one WAV; returns (signal, decomposition)."""
+    sig = z_normalize(decode_wav(_existing(path).read_bytes(), source_id=path.name))
+    return sig, decompose(sig, max_imfs=max_imfs)
+
+
 def run_extract(config: RunConfig) -> Path:
     """Decode -> z-normalize -> decompose -> features for every manifest row.
 
@@ -115,11 +136,7 @@ def run_extract(config: RunConfig) -> Path:
     vectors, labels, failures = [], [], []
     for entry in entries:
         try:
-            if not entry.path.is_file():
-                raise MissingFile(str(entry.path))
-            sig = decode_wav(entry.path.read_bytes(), source_id=entry.path.name)
-            sig = z_normalize(sig)
-            dec = decompose(sig, max_imfs=config.max_imfs)
+            sig, dec = _decompose_file(entry.path, config.max_imfs)
             vectors.append(extract_feature_vector(dec, sig.sample_rate_hz))
             labels.append(entry.label)
         except (Error, ValueError) as exc:
@@ -139,25 +156,18 @@ def run_extract(config: RunConfig) -> Path:
     return cache_path
 
 
-def _train_configs(config: RunConfig) -> list[TrainConfig]:
-    return [TrainConfig(algorithm=name, k=config.knn_k, c=config.svm_c,
-                        lam=config.logreg_lambda, n_trees=config.n_trees,
-                        seed=config.seed)
-            for name in ALGORITHMS]
-
-
 def run_evaluate(config: RunConfig, cache_path) -> list:
     """Cross-validate all five algorithms on one cache with shared folds.
 
     Writes metrics.csv, roc_<algorithm>.csv x5, confusion.txt and summary.txt
     into the output directory; returns the ranked (name, metrics, auc) rows.
+    A missing cache raises MissingFile before anything is read or created.
     """
-    data = read_feature_cache(cache_path)
+    data = read_feature_cache(_existing(cache_path))
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    blocks = []
-    for train_config in _train_configs(config):
+    rows, blocks = [], []
+    for train_config in config.train_configs():
         result = cross_validate(train_config, data, k=config.folds,
                                 seed=config.seed, positive=config.positive)
         rows.append((train_config.algorithm, result.metrics, result.roc.auc))
@@ -175,29 +185,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="emdclf",
                                      description="Mode-decomposition audio classifier toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # an absent flag stays off the namespace, so RunConfig supplies its default
+    command = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("extract", help="decode WAVs and write the feature cache")
+    p = command("extract", help="decode WAVs and write the feature cache")
     p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--max-imfs", type=int, default=RunConfig.max_imfs)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True, type=Path)
+    p.add_argument("--max-imfs", type=int)
 
-    p = sub.add_parser("evaluate", help="cross-validate the five classifiers")
+    p = command("evaluate", help="cross-validate the five classifiers")
     p.add_argument("--cache", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--folds", type=int, default=RunConfig.folds)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--positive", type=int, default=RunConfig.positive, choices=(0, 1))
-    p.add_argument("--knn-k", type=int, default=RunConfig.knn_k)
-    p.add_argument("--svm-c", type=float, default=RunConfig.svm_c)
-    p.add_argument("--trees", type=int, default=RunConfig.n_trees)
-    p.add_argument("--logreg-lambda", type=float, default=RunConfig.logreg_lambda)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True, type=Path)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--positive", metavar="{0,1}", type=int)
+    p.add_argument("--knn-k", type=int)
+    p.add_argument("--svm-c", type=float)
+    p.add_argument("--trees", dest="n_trees", metavar="TREES", type=int)
+    p.add_argument("--logreg-lambda", type=float)
 
-    p = sub.add_parser("decompose", help="dump one decomposition as CSV")
+    p = command("decompose", help="dump one decomposition as CSV")
     p.add_argument("--wav", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--max-imfs", type=int, default=RunConfig.max_imfs)
+    p.add_argument("--out", dest="dump", metavar="OUT", required=True, type=Path)
+    p.add_argument("--max-imfs", type=int)
 
-    sub.add_parser("version", help="print the toolkit version")
+    command("version", help="print the toolkit version")
     return parser
 
 
@@ -209,30 +221,23 @@ def _exit_code(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    # what is left after the command and the non-config paths is RunConfig's
+    command, cache, wav, dump = (args.pop(key, None)
+                                 for key in ("command", "cache", "wav", "dump"))
     try:
-        if args.command == "version":
+        config = RunConfig(**args)
+        if command == "version":
             print(__version__)
-        elif args.command == "extract":
-            config = RunConfig(manifest=args.manifest, out_dir=args.out,
-                               max_imfs=args.max_imfs)
-            cache = run_extract(config)
-            print(f"wrote {cache}")
-        elif args.command == "evaluate":
-            config = RunConfig(out_dir=args.out, folds=args.folds, seed=args.seed,
-                               positive=args.positive, knn_k=args.knn_k,
-                               svm_c=args.svm_c, n_trees=args.trees,
-                               logreg_lambda=args.logreg_lambda)
-            run_evaluate(config, args.cache)
+        elif command == "extract":
+            print(f"wrote {run_extract(config)}")
+        elif command == "evaluate":
+            run_evaluate(config, cache)
             print((config.out_dir / "summary.txt").read_text(), end="")
-        elif args.command == "decompose":
-            config = RunConfig(max_imfs=args.max_imfs)
-            if not args.wav.is_file():
-                raise MissingFile(str(args.wav))
-            sig = z_normalize(decode_wav(args.wav.read_bytes(), source_id=args.wav.name))
-            dec = decompose(sig, max_imfs=config.max_imfs)
-            write_decomposition_csv(args.out, sig, dec)
-            print(f"wrote {args.out} ({len(dec.imfs)} modes)")
+        elif command == "decompose":
+            sig, dec = _decompose_file(wav, config.max_imfs)
+            write_decomposition_csv(dump, sig, dec)
+            print(f"wrote {dump} ({len(dec.imfs)} modes)")
     except Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -157,10 +157,11 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     M = np.zeros(m)  # second derivatives, natural ends stay zero
     if m > 2:
         # tridiagonal system for the interior second derivatives
-        diag = (h[:-1] + h[1:]) / 3.0
-        off = h[1:-1] / 6.0
-        rhs = np.diff(yk) / h
-        rhs = rhs[1:] - rhs[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+            diag = (h[:-1] + h[1:]) / 3.0
+            off = h[1:-1] / 6.0
+            rhs = np.diff(yk) / h
+            rhs = rhs[1:] - rhs[:-1]
         if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
         if m == 3:  # one unknown; gtsv rejects empty off-diagonals

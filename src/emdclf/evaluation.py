@@ -15,6 +15,7 @@ import numpy as np
 from . import classifiers
 from .errors import (Empty, EmptyMatrix, LengthMismatch, SingleClassLabels,
                      TooFewPerClass)
+from .features import LabeledDataset
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,7 @@ def cross_validate(config, data, k: int = 5, seed: int = 0,
     for fold in folds:
         train_mask = np.ones(y.size, dtype=bool)
         train_mask[fold] = False
-        train = _ArrayDataset(X[train_mask], y[train_mask])
-        model = classifiers.fit(config, train)
+        model = classifiers.fit(config, LabeledDataset(X[train_mask], y[train_mask]))
         y_true_parts.append(y[fold])
         score_parts.append(classifiers.score(model, X[fold]))
 
@@ -177,11 +177,6 @@ def cross_validate(config, data, k: int = 5, seed: int = 0,
     else:
         curve = roc(1.0 - s, 1 - y_true)
     return CrossValidationResult(cm, rep, curve)
-
-
-class _ArrayDataset(NamedTuple):
-    features: np.ndarray
-    labels: np.ndarray
 
 
 # --- report files -------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emdclf import __version__
+from emdclf import ALGORITHMS, __version__
 from emdclf.cli import (ManifestEntry, RunConfig, load_manifest, main,
                         run_evaluate, run_extract)
 from emdclf.errors import (BadHeader, BadLabel, EmptyManifest, MissingFile,
@@ -10,6 +10,8 @@ from emdclf.signal import encode_wav
 from emdclf.synthetic import generate_corpus
 
 RATE = 8000
+REPORT_FILES = ("metrics.csv", "confusion.txt", "summary.txt",
+                *(f"roc_{name}.csv" for name in ALGORITHMS))
 
 
 def small_corpus(root, n_per_class=8, n_samples=1200):
@@ -171,6 +173,53 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(positive=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("knn_k", 0), ("svm_c", 0), ("n_trees", 0), ("logreg_lambda", -1), ("seed", -1),
+    ])
+    def test_classifier_settings_checked_on_construction(self, field, value):
+        with pytest.raises(ValueError):
+            RunConfig(**{field: value})
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cache")
+    return run_extract(RunConfig(manifest=small_corpus(root), out_dir=root / "out"))
+
+
+def report_bytes(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+
+
+# every evaluate flag, its RunConfig field and a value other than the default
+EVALUATE_FLAGS = [("--folds", "folds", 2), ("--seed", "seed", 1), ("--positive", "positive", 0),
+                  ("--knn-k", "knn_k", 3), ("--svm-c", "svm_c", 0.5), ("--trees", "n_trees", 5),
+                  ("--logreg-lambda", "logreg_lambda", 1e-3)]
+
+
+class TestEvaluateFlags:
+    def run_main(self, cache, out, *flags):
+        assert main(["evaluate", "--cache", str(cache), "--out", str(out), *flags]) == 0
+        return report_bytes(out)
+
+    @pytest.mark.parametrize("flags", [EVALUATE_FLAGS] + [[f] for f in EVALUATE_FLAGS],
+                             ids=["all"] + [flag for flag, _, _ in EVALUATE_FLAGS])
+    def test_flags_reach_their_fields(self, small_cache, tmp_path, flags):
+        via_main = self.run_main(small_cache, tmp_path / "main",
+                                 *(tok for flag, _, value in flags for tok in (flag, str(value))))
+        config = RunConfig(out_dir=tmp_path / "lib", **{field: value for _, field, value in flags})
+        run_evaluate(config, small_cache)
+        assert via_main == report_bytes(config.out_dir)
+        # the flags change the report, so a dropped or mis-mapped flag shows
+        assert via_main != self.run_main(small_cache, tmp_path / "defaults")
+
+    @pytest.mark.parametrize("flag, value", [("--knn-k", "0"), ("--seed", "-1")])
+    def test_bad_value_exits_before_output(self, small_cache, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        code = main(["evaluate", "--cache", str(small_cache), "--out", str(out), flag, value])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestMainEntry:
     def test_version(self, capsys):
@@ -226,6 +275,13 @@ class TestMainEntry:
         assert main(["decompose", "--wav", str(wav), "--out", str(out),
                      "--max-imfs", "0"]) == 2
         assert not out.exists()
+
+    def test_missing_cache_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["evaluate", "--cache", str(tmp_path / "missing.csv"),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "MissingFile" in capsys.readouterr().err
 
     def test_bad_missing_wav_decompose_exit_code(self, tmp_path, capsys):
         assert main(["decompose", "--wav", str(tmp_path / "no.wav"),

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -247,9 +248,12 @@ class TestSplineEnvelope:
         ([0, 5, 10, 15], [0.0, np.nan, 0.0, 1.0], 20),
         ([0, 5, 10], [0.0, np.inf, 0.0], 20),
         ([0, 1, 2, 3], [0.0, 1e308, -1e308, 0.0], 4),  # the slopes overflow
+        ([-1e308, 0, 1e308], [0.0, 1.0, 0.0], 4),  # the diagonal overflows
     ])
     def test_non_finite_system_raises(self, xk, yk, n):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        # no floating-point warning comes before the error
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="infs or NaNs"):
+            warnings.simplefilter("error")
             emd.spline_envelope(xk, yk, n)
 
     def test_two_knots_propagate_nan(self):
