@@ -15,7 +15,6 @@ Exit codes: 0 ok, 2 missing input file or manifest/config problem,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -30,8 +29,9 @@ from .errors import (BadHeader, BadLabel, CacheFormatError, DegenerateSignal,
                      TooFewPerClass, UnsupportedEncoding)
 from .evaluation import (cross_validate, format_confusion_block, format_summary,
                          rank_rows, write_metrics_csv, write_roc_csv)
-from .features import LabeledDataset, extract_feature_vector, read_feature_cache, \
-    write_feature_cache
+from .features import (N_BLOCKS, LabeledDataset, extract_feature_vector,
+                       read_feature_cache, read_labeled_csv, write_csv,
+                       write_feature_cache)
 from .signal import decode_wav, z_normalize
 
 _EXIT_CODES = (
@@ -91,28 +91,12 @@ def _existing(path) -> Path:
 def load_manifest(path) -> list[ManifestEntry]:
     """Read `path,label` rows; relative paths resolve against the manifest dir."""
     path = _existing(path)
-    base = path.parent
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadHeader("manifest is empty") from None
-        if header != ["path", "label"]:
-            raise BadHeader(f"expected 'path,label', got {','.join(header)!r}")
-        entries = []
-        for line_no, rec in enumerate(reader, start=2):
-            if len(rec) != 2:
-                raise BadHeader(f"line {line_no}: expected 2 fields")
-            raw_path, raw_label = rec
-            if not raw_path:
-                raise BadHeader(f"line {line_no}: empty path")
-            if raw_label not in ("0", "1"):
-                raise BadLabel(f"line {line_no}: {raw_label!r}")
-            p = Path(raw_path)
-            if not p.is_absolute():
-                p = base / p
-            entries.append(ManifestEntry(p, int(raw_label)))
+    entries = []
+    for line_no, (raw_path, raw_label) in read_labeled_csv(
+            path, ["path", "label"], BadHeader, BadLabel):
+        if not raw_path:
+            raise BadHeader(f"line {line_no}: empty path")
+        entries.append(ManifestEntry(path.parent / raw_path, int(raw_label)))
     if not entries:
         raise EmptyManifest(str(path))
     return entries
@@ -133,20 +117,18 @@ def run_extract(config: RunConfig) -> Path:
     entries = load_manifest(config.manifest)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
+    max_imfs = min(config.max_imfs, N_BLOCKS)  # features read no later mode
     vectors, labels, failures = [], [], []
     for entry in entries:
         try:
-            sig, dec = _decompose_file(entry.path, config.max_imfs)
+            sig, dec = _decompose_file(entry.path, max_imfs)
             vectors.append(extract_feature_vector(dec, sig.sample_rate_hz))
             labels.append(entry.label)
         except (Error, ValueError) as exc:
             failures.append((entry.path.name, f"{type(exc).__name__}: {exc}"))
 
     errors_path = config.out_dir / "errors.csv"
-    with open(errors_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "error"])
-        writer.writerows(failures)
+    write_csv(errors_path, ["path", "error"], failures)
 
     if not vectors:
         raise NoUsableAudio(f"all {len(entries)} files failed; see {errors_path}")

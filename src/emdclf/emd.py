@@ -131,9 +131,10 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        When the knot arrays differ in length, when the knots are not
-        strictly increasing, or when the system for the interior second
-        derivatives (three or more knots) holds an inf or a NaN.
+        When the knot arrays differ in length, when a knot is NaN or the
+        knot span overflows, when the knots are not strictly increasing, or
+        when the system for the interior second derivatives (three or more
+        knots) holds an inf or a NaN.
 
     Notes
     -----
@@ -149,19 +150,22 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
     if xk.size != yk.size:
         raise ValueError("knot index/value lengths differ")
-    h = np.diff(xk)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        h = np.diff(xk)
+        span = xk[-1] - xk[0]
+        # tridiagonal system for the interior second derivatives (three or more knots)
+        diag = (h[:-1] + h[1:]) / 3.0
+        off = h[1:-1] / 6.0
+        rhs = np.diff(yk) / h
+        rhs = rhs[1:] - rhs[:-1]
+    if not span < np.inf:  # also true for a NaN end knot
+        raise ValueError("array must not contain infs or NaNs")
     if np.any(h <= 0):
         raise ValueError("knot indices must be strictly increasing")
 
     m = xk.size
     M = np.zeros(m)  # second derivatives, natural ends stay zero
     if m > 2:
-        # tridiagonal system for the interior second derivatives
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
-            diag = (h[:-1] + h[1:]) / 3.0
-            off = h[1:-1] / 6.0
-            rhs = np.diff(yk) / h
-            rhs = rhs[1:] - rhs[:-1]
         if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
             raise ValueError("array must not contain infs or NaNs")
         if m == 3:  # one unknown; gtsv rejects empty off-diagonals

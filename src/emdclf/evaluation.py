@@ -7,7 +7,7 @@ exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from . import classifiers
 from .errors import (Empty, EmptyMatrix, LengthMismatch, SingleClassLabels,
                      TooFewPerClass)
-from .features import LabeledDataset
+from .features import LabeledDataset, write_csv
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,9 @@ def cross_validate(config, data, k: int = 5, seed: int = 0,
 
 def write_metrics_csv(path, rows) -> None:
     """rows: iterable of (algorithm, MetricsReport, auc). 2-dec %, 4-dec AUC."""
-    lines = ["algorithm,acc,rec,spe,pre,f1,auc"]
-    for name, rep, auc in rows:
-        lines.append(f"{name},{rep.acc:.2f},{rep.rec:.2f},{rep.spe:.2f},"
-                     f"{rep.pre:.2f},{rep.f1:.2f},{auc:.4f}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["algorithm", "acc", "rec", "spe", "pre", "f1", "auc"],
+              ([name] + [f"{v:.2f}" for v in astuple(rep)] + [f"{auc:.4f}"]
+               for name, rep, auc in rows))
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:

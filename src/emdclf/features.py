@@ -4,6 +4,9 @@ Per-mode block order: mean absolute value, sample std, RMS, skewness, excess
 kurtosis, zero-crossing rate (per second), Shannon entropy (bits, 64-bin
 amplitude histogram), Hjorth mobility, Hjorth complexity. Modes the
 decomposition did not produce contribute all-zero blocks.
+
+This module also owns the CSV format: `write_csv` writes every table the
+pipeline writes, and `read_labeled_csv` checks the manifest and the cache.
 """
 
 from __future__ import annotations
@@ -112,30 +115,24 @@ def hjorth(samples):
     return var_x, float(mobility), float(complexity)
 
 
-def _skewness(x: np.ndarray) -> float:
+def _shape_moments(x: np.ndarray) -> tuple[float, float]:
+    """(skewness, excess kurtosis), both 0 for a flat input."""
     if x.min() == x.max():
-        return 0.0
+        return 0.0, 0.0
     c = x - x.mean()
     m2 = np.mean(c * c)
-    return float(np.mean(c**3) / m2**1.5)
-
-
-def _excess_kurtosis(x: np.ndarray) -> float:
-    if x.min() == x.max():
-        return 0.0
-    c = x - x.mean()
-    m2 = np.mean(c * c)
-    return float(np.mean(c**4) / (m2 * m2) - 3.0)
+    return float(np.mean(c**3) / m2**1.5), float(np.mean(c**4) / (m2 * m2) - 3.0)
 
 
 def _block(x: np.ndarray, sample_rate_hz) -> np.ndarray:
     _, mobility, complexity = hjorth(x)
+    skewness, kurtosis = _shape_moments(x)
     return np.array([
         np.mean(np.abs(x)),
         np.std(x, ddof=1),
         np.sqrt(np.mean(x * x)),
-        _skewness(x),
-        _excess_kurtosis(x),
+        skewness,
+        kurtosis,
         zero_crossing_rate(x, sample_rate_hz),
         shannon_entropy(x),
         mobility,
@@ -152,7 +149,35 @@ def extract_feature_vector(dec: ImfDecomposition, sample_rate_hz) -> FeatureVect
     return FeatureVector(values=values, source_id=dec.source_id)
 
 
-# --- feature cache CSV -------------------------------------------------------
+# --- CSV tables ---------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` then `rows` as CSV with LF line endings."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_labeled_csv(path, header, error, label_error=None):
+    """Yield (line_no, cells) per row of a CSV whose last column is a 0/1 label.
+
+    Raises `error` for an empty file, another header or a row of the wrong
+    width, and `label_error` (default `error`) for any other label. Rows come
+    one at a time, so a caller's own check on a row still finds the first bad line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])
+        if found != header:
+            raise error(f"line 1: expected {','.join(header)!r}, got {','.join(found)!r}")
+        for line_no, cells in enumerate(reader, start=2):
+            if len(cells) != len(header):
+                raise error(f"line {line_no}: expected {len(header)} fields, got {len(cells)}")
+            if cells[-1] not in ("0", "1"):
+                raise (label_error or error)(f"line {line_no}: label {cells[-1]!r} is not 0 or 1")
+            yield line_no, cells
+
 
 CACHE_HEADER = ["source_id"] + [f"f{i + 1}" for i in range(N_FEATURES)] + ["label"]
 
@@ -160,31 +185,24 @@ CACHE_HEADER = ["source_id"] + [f"f{i + 1}" for i in range(N_FEATURES)] + ["labe
 def write_feature_cache(path, dataset: LabeledDataset) -> None:
     """CSV with 17-significant-digit floats so values round-trip exactly."""
     ids = dataset.source_ids or [""] * len(dataset)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CACHE_HEADER)
-        for sid, row, label in zip(ids, dataset.features, dataset.labels):
-            writer.writerow([sid] + [f"{v:.17g}" for v in row] + [str(int(label))])
+    write_csv(path, CACHE_HEADER,
+              ([sid] + [f"{v:.17g}" for v in row] + [str(int(label))]
+               for sid, row, label in zip(ids, dataset.features, dataset.labels)))
 
 
 def read_feature_cache(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """Load a cache; raises CacheFormatError naming the first malformed line."""
+    ids, rows, labels = [], [], []
+    for line_no, cells in read_labeled_csv(path, CACHE_HEADER, CacheFormatError):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CacheFormatError("empty cache file") from None
-        if header != CACHE_HEADER:
-            raise CacheFormatError("unexpected cache header")
-        ids, rows, labels = [], [], []
-        for line_no, rec in enumerate(reader, start=2):
-            if len(rec) != len(CACHE_HEADER):
-                raise CacheFormatError(f"line {line_no}: wrong column count")
-            ids.append(rec[0])
-            rows.append([float(v) for v in rec[1:-1]])
-            if rec[-1] not in ("0", "1"):
-                raise CacheFormatError(f"line {line_no}: label must be 0 or 1")
-            labels.append(int(rec[-1]))
+            values = [float(v) for v in cells[1:-1]]
+        except ValueError:
+            raise CacheFormatError(f"line {line_no}: non-numeric value") from None
+        if not np.isfinite(values).all():
+            raise CacheFormatError(f"line {line_no}: non-finite value")
+        ids.append(cells[0])
+        rows.append(values)
+        labels.append(int(cells[-1]))
     if not rows:
         raise CacheFormatError("cache has no data rows")
     return LabeledDataset(np.asarray(rows), np.asarray(labels), ids)

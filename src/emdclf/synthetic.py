@@ -7,11 +7,11 @@ index), so regenerating a corpus is byte-identical.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
+from .features import write_csv
 from .signal import encode_wav
 
 DEFAULT_RATE = 8000
@@ -57,8 +57,5 @@ def generate_corpus(out_dir, n_per_class: int = 60, seed: int = 7,
             (out / name).write_bytes(wav)
             entries.append((name, label))
     manifest = out / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "label"])
-        writer.writerows(entries)
+    write_csv(manifest, ["path", "label"], entries)
     return manifest

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emdclf import ALGORITHMS, __version__
+from emdclf import ALGORITHMS, __version__, emd
 from emdclf.cli import (ManifestEntry, RunConfig, load_manifest, main,
                         run_evaluate, run_extract)
 from emdclf.errors import (BadHeader, BadLabel, EmptyManifest, MissingFile,
@@ -51,6 +51,31 @@ class TestLoadManifest:
         m = tmp_path / "manifest.csv"
         m.write_text("path,label\n")
         with pytest.raises(EmptyManifest):
+            load_manifest(m)
+
+    def test_absolute_path_kept(self, tmp_path):
+        wav = tmp_path / "elsewhere" / "a.wav"
+        m = tmp_path / "lists" / "manifest.csv"
+        m.parent.mkdir()
+        m.write_text(f"path,label\n{wav},1\n")
+        assert load_manifest(m) == [ManifestEntry(wav, 1)]
+
+    def test_empty_file(self, tmp_path):
+        m = tmp_path / "manifest.csv"
+        m.write_text("")
+        with pytest.raises(BadHeader, match="line 1"):
+            load_manifest(m)
+
+    def test_wrong_width_names_line(self, tmp_path):
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\na.wav,0\nb.wav,1,extra\n")
+        with pytest.raises(BadHeader, match="line 3"):
+            load_manifest(m)
+
+    def test_first_bad_line_reported(self, tmp_path):
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\n,0\nb.wav,positive\n")
+        with pytest.raises(BadHeader, match="line 2: empty path"):
             load_manifest(m)
 
 
@@ -109,6 +134,23 @@ class TestRunExtract:
         m.write_text("path,label\nx.wav,0\n")
         with pytest.raises(NoUsableAudio):
             run_extract(RunConfig(manifest=m, out_dir=tmp_path / "out"))
+
+    def test_modes_past_the_feature_blocks_not_decomposed(self, tmp_path, monkeypatch):
+        manifest = small_corpus(tmp_path, n_per_class=2)
+        calls, sift = [], emd.sift
+
+        def counted_sift(*args, **kwargs):
+            calls.append(args)
+            return sift(*args, **kwargs)
+
+        monkeypatch.setattr(emd, "sift", counted_sift)
+        caches = {}
+        for max_imfs in (10, 5):
+            calls.clear()
+            cache = run_extract(RunConfig(manifest=manifest, max_imfs=max_imfs,
+                                          out_dir=tmp_path / f"out{max_imfs}"))
+            caches[max_imfs] = (cache.read_bytes(), len(calls))
+        assert caches[10] == caches[5]
 
     def test_rerun_byte_identical(self, tmp_path):
         manifest = small_corpus(tmp_path)
@@ -282,6 +324,19 @@ class TestMainEntry:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert "MissingFile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc", ""])
+    def test_malformed_cache_exit_code(self, small_cache, tmp_path, capsys, cell):
+        lines = small_cache.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = cell
+        lines[1] = ",".join(cells)
+        cache = tmp_path / "features.csv"
+        cache.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", "--cache", str(cache), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "CacheFormatError: line 2" in capsys.readouterr().err
 
     def test_bad_missing_wav_decompose_exit_code(self, tmp_path, capsys):
         assert main(["decompose", "--wav", str(tmp_path / "no.wav"),

@@ -249,6 +249,8 @@ class TestSplineEnvelope:
         ([0, 5, 10], [0.0, np.inf, 0.0], 20),
         ([0, 1, 2, 3], [0.0, 1e308, -1e308, 0.0], 4),  # the slopes overflow
         ([-1e308, 0, 1e308], [0.0, 1.0, 0.0], 4),  # the diagonal overflows
+        ([-1e308, 1e308, 1.5e308], [0.0, 1.0, 0.0], 4),  # a knot gap overflows
+        ([-1e308, 1e308], [0.0, 1.0], 4),  # two knots: no system, the span overflows
     ])
     def test_non_finite_system_raises(self, xk, yk, n):
         # no floating-point warning comes before the error

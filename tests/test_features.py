@@ -223,6 +223,18 @@ class TestFeatureCache:
         with pytest.raises(CacheFormatError):
             read_feature_cache(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc", ""])
+    def test_malformed_value_rejected(self, tmp_path, cell):
+        path = tmp_path / "cache.csv"
+        write_feature_cache(path, self.make_dataset(3))
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[7] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheFormatError, match="line 3"):
+            read_feature_cache(path)
+
 
 class TestLabeledDataset:
     def test_parallel_lengths_enforced(self):
