@@ -11,7 +11,8 @@ fits are bit-identical.
 Algorithms: k-nearest neighbours (squared-Euclidean votes), linear
 discriminant analysis (pooled covariance + ridge), logistic regression
 (damped Newton, L2), linear soft-margin SVM (dual coordinate descent) and
-bagged CART trees (Gini, midpoint thresholds, grown pure).
+bagged CART trees (Gini, midpoint thresholds, grown pure). A split tie goes
+to the lowest feature, then threshold; a leaf takes its majority, a tie is 1.
 """
 
 from __future__ import annotations
@@ -267,28 +268,20 @@ def _fit_svm(config, X, y):
 def _gini_best_split(X, y):
     """(feature, midpoint threshold) minimizing weighted Gini, or (None, None)."""
     n = y.size
-    total_pos = int(y.sum())
-    best = (np.inf, None, None)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xo = X[order, j]
-        yo = y[order]
-        boundaries = np.flatnonzero(xo[1:] != xo[:-1])  # split after these positions
-        if boundaries.size == 0:
-            continue
-        cpos = np.cumsum(yo)
-        nl = boundaries + 1.0
-        nr = n - nl
-        pl = cpos[boundaries]
-        pr = total_pos - pl
-        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        weighted = (nl * gini_l + nr * gini_r) / n
-        i = int(np.argmin(weighted))  # first minimum: lowest threshold wins
-        if weighted[i] < best[0]:
-            thr = 0.5 * (xo[boundaries[i]] + xo[boundaries[i] + 1])
-            best = (weighted[i], j, thr)
-    return best[1], best[2]
+    order = np.argsort(X, axis=0, kind="stable")
+    xo = np.take_along_axis(X, order, axis=0)
+    pl = np.cumsum(y[order], axis=0)[:-1]  # row i splits after the i-th sorted value
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    pr = int(y.sum()) - pl
+    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+    weighted = (nl * gini_l + nr * gini_r) / n
+    weighted[xo[1:] == xo[:-1]] = np.inf  # no threshold between equal values
+    if np.isinf(weighted).all():
+        return None, None
+    j, i = divmod(int(np.argmin(weighted.T)), n - 1)  # feature-major tie order
+    return j, 0.5 * (xo[i, j] + xo[i + 1, j])
 
 
 def _grow_tree(X, y):
@@ -298,13 +291,9 @@ def _grow_tree(X, y):
     while stack:
         idx, node = stack.pop()
         yy = y[idx]
-        if (yy == yy[0]).all():
-            node["label"] = int(yy[0])
-            continue
-        feat, thr = _gini_best_split(X[idx], yy)
-        if feat is None:
-            counts = np.bincount(yy, minlength=2)
-            node["label"] = 1 if counts[1] >= counts[0] else 0
+        feat, thr = (None, None) if (yy == yy[0]).all() else _gini_best_split(X[idx], yy)
+        if feat is None:  # pure, or no threshold separates the rows
+            node["label"] = int(2 * yy.sum() >= yy.size)  # majority; a tie is 1
             continue
         node["feature"] = int(feat)
         node["threshold"] = float(thr)
@@ -365,6 +354,11 @@ def _decode(obj):
     return np.asarray(obj["__array__"]) if obj.keys() == {"__array__"} else obj
 
 
+def _finite(*values) -> bool:
+    """True when every value is an int or float number or array, all finite."""
+    return all(np.asarray(v).dtype.kind in "iuf" and np.isfinite(v).all() for v in values)
+
+
 def _trees_fit(trees, d) -> bool:
     stack, ok = list(trees), len(trees) > 0  # iterative: pure-grown trees can be deep
     while ok and stack:
@@ -373,7 +367,7 @@ def _trees_fit(trees, d) -> bool:
             ok = type(node["label"]) is int and node["label"] in (0, 1)
         else:
             ok = (type(node["feature"]) is int and 0 <= node["feature"] < d
-                  and isinstance(node["threshold"], (int, float)))
+                  and isinstance(node["threshold"], (int, float)) and _finite(node["threshold"]))
             stack += [node["left"], node["right"]]
     return ok
 
@@ -391,9 +385,10 @@ def model_from_json(text: str) -> TrainedModel:
     Raises ValueError unless the text is a JSON object of this version and a
     known algorithm, every key is present with the right type, `feature_dim`
     d is an integer >= 1 and the params fit d: kNN needs an integer k >= 1,
-    X of shape (n, d) and n labels; linear models need w of shape (d,);
+    X of shape (n, d) and n 0/1 labels; linear models need w of shape (d,);
     bagged_trees needs >= 1 tree of 0/1 leaves and of splits on an integer
-    feature in [0, d) with a numeric threshold and both children.
+    feature in [0, d) with a threshold and both children. X, w, b and every
+    threshold must be finite integers or floats.
     """
     try:
         blob = json.loads(text, object_hook=_decode)
@@ -403,11 +398,12 @@ def model_from_json(text: str) -> TrainedModel:
         d, params = blob["feature_dim"], blob["params"]
         if algorithm == "knn":
             X, y, k = params["X"], params["y"], params["k"]
-            ok = type(k) is int and k >= 1 and np.ndim(y) == 1 and np.shape(X) == (len(y), d)
+            ok = (type(k) is int and k >= 1 and np.ndim(y) == 1 and np.shape(X) == (len(y), d)
+                  and _finite(X, y) and np.isin(y, (0, 1)).all())
         elif algorithm == "bagged_trees":
             ok = _trees_fit(params["trees"], d)
         else:
-            ok = np.shape(params["w"]) == (d,)
+            ok = np.shape(params["w"]) == (d,) and _finite(params["w"], params["b"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed model blob: {exc!r}") from exc
     if not (ok and type(d) is int and d >= 1):

@@ -124,7 +124,7 @@ def run_extract(config: RunConfig) -> Path:
             sig, dec = _decompose_file(entry.path, max_imfs)
             vectors.append(extract_feature_vector(dec, sig.sample_rate_hz))
             labels.append(entry.label)
-        except (Error, ValueError) as exc:
+        except (Error, ValueError, OSError) as exc:
             failures.append((entry.path.name, f"{type(exc).__name__}: {exc}"))
 
     errors_path = config.out_dir / "errors.csv"

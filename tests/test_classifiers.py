@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emdclf.classifiers import (ALGORITHMS, TrainConfig, TrainedModel, fit,
+from emdclf.classifiers import (ALGORITHMS, TrainConfig, TrainedModel,
+                                _gini_best_split, _grow_tree, fit,
                                 logreg_gradient, logreg_objective,
                                 model_from_json, model_to_json, predict, score)
 from emdclf.errors import (DimensionMismatch, NonFiniteFeature, SingleClassData)
@@ -27,6 +28,47 @@ def _split(feature, left, right):
     """A bagged-trees split node; a None child is left out."""
     node = {"feature": feature, "threshold": 0.0, "left": left, "right": right}
     return {k: v for k, v in node.items() if v is not None}
+
+
+def _parent_gini_best_split(X, y):
+    """The split search before it became one pass over the whole matrix,
+    copied verbatim (a loop over the features, each with its own sort).
+    `classifiers._gini_best_split` must reproduce it bit for bit."""
+    n = y.size
+    total_pos = int(y.sum())
+    best = (np.inf, None, None)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xo = X[order, j]
+        yo = y[order]
+        boundaries = np.flatnonzero(xo[1:] != xo[:-1])  # split after these positions
+        if boundaries.size == 0:
+            continue
+        cpos = np.cumsum(yo)
+        nl = boundaries + 1.0
+        nr = n - nl
+        pl = cpos[boundaries]
+        pr = total_pos - pl
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        weighted = (nl * gini_l + nr * gini_r) / n
+        i = int(np.argmin(weighted))  # first minimum: lowest threshold wins
+        if weighted[i] < best[0]:
+            thr = 0.5 * (xo[boundaries[i]] + xo[boundaries[i] + 1])
+            best = (weighted[i], j, thr)
+    return best[1], best[2]
+
+
+@st.composite
+def split_cases(draw):
+    """(X, y): 2..12 rows, 1..5 columns of few distinct levels (±0.0 among
+    them), so ties, equal Gini values and constant columns are common."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 5))
+    levels = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 3.0])
+    X = draw(arrays(np.float64, (n, d), elements=levels))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return X, y
 
 
 def _without_feature_dim(blob):
@@ -258,6 +300,22 @@ class TestBaggedTrees:
             preds = [_tree_predict_one(tree, row) for row in X[boot]]
             assert np.array_equal(preds, y[boot])
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=split_cases())
+    def test_split_bit_identical_to_parent_loop(self, case):
+        X, y = case
+        feat, thr = _gini_best_split(X, y)
+        parent_feat, parent_thr = _parent_gini_best_split(X, y)
+        assert feat == parent_feat
+        assert np.array(thr).tobytes() == np.array(parent_thr).tobytes()
+
+    def test_constant_columns_have_no_split(self):
+        X = np.tile([[-0.0], [0.0]], (2, 3))  # -0.0 == 0.0: every column is constant
+        assert _gini_best_split(X, np.array([0, 1, 1, 0])) == (None, None)
+
+    def test_inseparable_rows_make_a_leaf_with_tie_to_one(self):
+        assert _grow_tree(np.ones((2, 3)), np.array([0, 1])) == {"label": 1}
+
     def test_unanimous_vote_scores_zero_or_one(self):
         data = two_gaussians(seed=8, n_per_class=50)
         model = fit(TrainConfig("bagged_trees", seed=1), data)
@@ -362,6 +420,15 @@ class TestSerialization:
         ("bagged_trees", {"trees": [_split(0, {"label": 0}, _split(1, {}, {"label": 1}))]}),
         ("bagged_trees", {"trees": [{"feature": 0, "left": {"label": 0},
                                      "right": {"label": 1}}]}),
+        ("knn", {"y": {"__array__": [0, 1, 2, 0, 1, 0, 1, 0, 1, 0]}}),
+        ("knn", {"X": {"__array__": [[float("nan"), 0.0]] * 10}}),
+        ("knn", {"X": {"__array__": [["a", "b"]] * 10}}),
+        ("lda", {"w": {"__array__": [float("nan"), 1.0]}}),
+        ("lda", {"w": {"__array__": ["a", "b"]}}),
+        ("lda", {"b": float("nan")}),
+        ("lda", {"b": "0.5"}),
+        ("bagged_trees", {"trees": [{**_split(0, {"label": 0}, {"label": 1}),
+                                     "threshold": float("nan")}]}),
     ])
     def test_inconsistent_blob_rejected(self, algorithm, changes):
         """`changes` updates the params (DROP deletes a key) or maps the whole blob."""

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,27 @@ class TestRunExtract:
         assert len((out / "features.csv").read_text().splitlines()) - 1 == 2
         sidecar_rows = (out / "errors.csv").read_text().splitlines()
         assert sidecar_rows[1:] == ["zero_rate.wav,ValueError: sample rate must be positive"]
+
+    def test_unreadable_file_goes_to_sidecar(self, tmp_path, monkeypatch):
+        wav = encode_wav(np.sin(np.linspace(0, 20, 400)), RATE)
+        for name in ("a.wav", "locked.wav", "c.wav"):
+            (tmp_path / name).write_bytes(wav)
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\na.wav,0\nlocked.wav,1\nc.wav,1\n")
+        read_bytes = Path.read_bytes
+
+        def deny_locked(path):
+            if path.name == "locked.wav":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", deny_locked)
+        out = tmp_path / "out"
+        assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 0
+        assert len((out / "features.csv").read_text().splitlines()) - 1 == 2
+        sidecar_rows = (out / "errors.csv").read_text().splitlines()
+        assert len(sidecar_rows) - 1 == 1
+        assert sidecar_rows[1].startswith("locked.wav,PermissionError: ")
 
     def test_all_failures_fatal(self, tmp_path):
         bad = tmp_path / "x.wav"
