@@ -35,6 +35,8 @@ SYMMETRY_TOL = 0.05
 MAX_SIFT_ITERS = 100
 #: default number of modes to extract
 DEFAULT_MAX_IMFS = 5
+#: rows of the decomposition dump formatted per write
+_DUMP_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,20 @@ def find_local_extrema(samples) -> ExtremaSet:
         Strictly increasing index lists. A plateau (run of equal values
         flanked by strictly smaller/larger ones) yields its midpoint index,
         rounded down. Endpoints are never extrema.
+
+    Notes
+    -----
+    A sequence with no zero step has no plateau, so its extrema are the
+    turns of the step sign and are found without the plateau bookkeeping;
+    both ways give the same indices.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 3:
         raise TooShort(f"need >= 3 samples, got {x.size}")
     d = np.diff(x)
+    if d.all():  # no zero step, so no plateau: an extremum is a turn of the step sign
+        up, down = d[:-1] > 0.0, d[1:] < 0.0
+        return ExtremaSet(np.flatnonzero(up & down) + 1, np.flatnonzero(~(up | down)) + 1)
     nz = np.flatnonzero(d != 0.0)
     if nz.size < 2:
         return ExtremaSet(np.empty(0, np.intp), np.empty(0, np.intp))
@@ -131,10 +142,10 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        When the knot arrays differ in length, when a knot is NaN or the
-        knot span overflows, when the knots are not strictly increasing, or
-        when the system for the interior second derivatives (three or more
-        knots) holds an inf or a NaN.
+        When the knot arrays differ in length, when `n` is negative, when a
+        knot is NaN or the knot span overflows, when the knots are not
+        strictly increasing, or when the system for the interior second
+        derivatives (three or more knots) holds an inf or a NaN.
 
     Notes
     -----
@@ -150,6 +161,8 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
     if xk.size != yk.size:
         raise ValueError("knot index/value lengths differ")
+    if n < 0:
+        raise ValueError(f"output length must be >= 0, got {n}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         h = np.diff(xk)
         span = xk[-1] - xk[0]
@@ -177,19 +190,36 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
 
     # Grid point t lies on piece i, between knots i and i + 1, where knot i
     # is the last knot <= t; the end pieces also take the points beyond the
-    # outer knots. So piece k >= 1 starts at the first integer >= knot k.
+    # outer knots. So piece k >= 1 starts at the first integer >= knot k, and
+    # the piece of t is the number of those starts at or before t.
     starts = np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp)
-    i = np.repeat(np.arange(m - 1), np.diff(np.concatenate(([0], starts, [n]))))
-    t = np.arange(n, dtype=np.float64)
-    left = xk[1:][i] - t
-    right = t - xk[:-1][i]
-    h6 = (6.0 * h)[i]
-    c_left = (yk[:-1] / h - M[:-1] * h / 6.0)[i]
-    c_right = (yk[1:] / h - M[1:] * h / 6.0)[i]
-    return (M[:-1][i] * (left * left * left) / h6
-            + M[1:][i] * (right * right * right) / h6
-            + c_left * left
-            + c_right * right)
+    i = np.bincount(starts, minlength=n + 1)[:n].cumsum()
+    h6 = (6.0 * h).take(i)
+    c_left = yk[:-1] / h - M[:-1] * h / 6.0
+    c_right = yk[1:] / h - M[1:] * h / 6.0
+
+    # M[i] * (left*left*left) / h6 + M[i+1] * (right*right*right) / h6
+    # + c_left[i] * left + c_right[i] * right, evaluated in place with the
+    # operands and order of that expression; g holds t, then each gathered
+    # per-piece value in turn (mode="clip" lets take write into g directly;
+    # every index is in range).
+    g = np.arange(n, dtype=np.float64)
+    left = xk[1:].take(i)
+    left -= g
+    right = xk[:-1].take(i)
+    np.subtract(g, right, out=right)
+    out = left * left
+    out *= left
+    np.multiply(M[:-1].take(i, out=g, mode="clip"), out, out=out)
+    out /= h6
+    cube = right * right
+    cube *= right
+    np.multiply(M[1:].take(i, out=g, mode="clip"), cube, out=cube)
+    cube /= h6
+    out += cube
+    out += np.multiply(c_left.take(i, out=g, mode="clip"), left, out=g)
+    out += np.multiply(c_right.take(i, out=g, mode="clip"), right, out=g)
+    return out
 
 
 def _mirrored_knots(idx: np.ndarray, vals: np.ndarray, n: int):
@@ -320,14 +350,19 @@ def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposit
 def write_decomposition_csv(path_or_file, signal: Signal, dec: ImfDecomposition) -> None:
     """Debug dump: columns t, input, imf1..imf5, residual (empty for absent modes).
 
-    Takes a path or an open text handle and streams the rows into it; a path
-    is opened with ``newline=""`` so every platform writes LF line endings.
+    Takes a path or an open text handle and writes the rows into it in
+    blocks of ``_DUMP_BLOCK_ROWS``, each value as ``%.17g``; a path is opened
+    with ``newline=""`` so every platform writes LF line endings.
     """
     n_cols = max(DEFAULT_MAX_IMFS, len(dec.imfs))
     header = "t,input," + ",".join(f"imf{i + 1}" for i in range(n_cols)) + ",residual"
     t = np.arange(signal.samples.size) / signal.sample_rate_hz
     table = np.column_stack([t, signal.samples, *dec.imfs, dec.residual])
     cells = ["%.17g"] * (2 + len(dec.imfs)) + [""] * (n_cols - len(dec.imfs)) + ["%.17g"]
+    row_fmt = ",".join(cells) + "\n"
     is_handle = hasattr(path_or_file, "write")
     with nullcontext(path_or_file) if is_handle else open(path_or_file, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt=",".join(cells), header=header, comments="")
+        fh.write(header + "\n")
+        for start in range(0, len(table), _DUMP_BLOCK_ROWS):
+            block = table[start:start + _DUMP_BLOCK_ROWS]
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))

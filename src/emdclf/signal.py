@@ -1,8 +1,9 @@
 """WAV decoding and z-score preprocessing.
 
 The decoder is deliberately small: RIFF/WAVE containers holding 16-bit PCM or
-32-bit IEEE float frames, mono or stereo. Stereo is collapsed to mono by
-per-frame averaging. Everything downstream works on :class:`Signal`.
+32-bit IEEE float frames, mono or stereo, tagged plainly or as
+WAVE_FORMAT_EXTENSIBLE. Stereo is collapsed to mono by per-frame averaging.
+Everything downstream works on :class:`Signal`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .errors import DegenerateSignal, EmptyAudio, MalformedWav, UnsupportedEncod
 
 _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
+_FORMAT_EXTENSIBLE = 0xFFFE
+# The KSDATAFORMAT SubFormat GUID after its leading 16-bit format code.
+_KSDATAFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,24 @@ def _parse_chunks(data: bytes):
         pos += 8 + size + (size & 1)
 
 
+def _extensible_format(fmt: bytes, bits: int) -> int:
+    # After the 16 plain bytes: cbSize, valid bits, channel mask, SubFormat GUID.
+    # The GUID's format code is checked with the plain codes by the caller.
+    if len(fmt) >= 40:
+        valid_bits, _, code = struct.unpack_from("<HIH", fmt, 18)
+        if fmt[26:40] == _KSDATAFORMAT_TAIL and valid_bits == bits:
+            return code
+    raise UnsupportedEncoding("extensible format without a full-width KSDATAFORMAT GUID")
+
+
 def decode_wav(data: bytes, source_id: str = "") -> Signal:
     """Decode a WAV blob into a mono Signal.
 
     16-bit PCM samples are scaled by 1/32768 into [-1, 1); float32 samples are
-    taken as-is. Stereo frames are averaged. Raises MalformedWav,
-    UnsupportedEncoding or EmptyAudio.
+    taken as-is. Stereo frames are averaged. A WAVE_FORMAT_EXTENSIBLE fmt
+    chunk is read when it holds the full 40 bytes, its SubFormat GUID is
+    KSDATAFORMAT PCM or IEEE float, and its valid bits equal the container
+    bits. Raises MalformedWav, UnsupportedEncoding or EmptyAudio.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWav("not a RIFF/WAVE container")
@@ -73,13 +89,15 @@ def decode_wav(data: bytes, source_id: str = "") -> Signal:
         if cid == b"fmt " and fmt is None:
             if len(body) < 16:
                 raise MalformedWav("fmt chunk shorter than 16 bytes")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif cid == b"data" and raw is None:
             raw = body
     if fmt is None or raw is None:
         raise MalformedWav("missing fmt or data chunk")
 
-    audio_format, n_channels, sample_rate, _, _, bits = fmt
+    audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if audio_format == _FORMAT_EXTENSIBLE:
+        audio_format = _extensible_format(fmt, bits)
     if audio_format not in (_FORMAT_PCM, _FORMAT_IEEE_FLOAT):
         raise UnsupportedEncoding(f"compression code {audio_format}")
     if n_channels not in (1, 2):

@@ -1,5 +1,7 @@
+import io
 import warnings
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +45,19 @@ def brute_force_extrema(x):
             minima.append(mid)
         i = j + 1
     return maxima, minima
+
+
+def extrema_inputs():
+    """Continuous values, plateau-heavy quantized values (with -0.0),
+    constant runs and length-3 sequences."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    levels = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    return st.one_of(
+        st.lists(finite, min_size=3, max_size=200),
+        st.lists(levels, min_size=3, max_size=200),
+        st.builds(lambda v, n: [v] * n, finite, st.integers(3, 50)),
+        st.lists(st.one_of(finite, levels), min_size=3, max_size=3),
+    ).map(lambda xs: np.array(xs, dtype=np.float64))
 
 
 def natural_spline_oracle(xk, yk, t):
@@ -175,6 +190,24 @@ class TestFindLocalExtrema:
             assert list(ext.maxima_idx) == bf_max
             assert list(ext.minima_idx) == bf_min
 
+    def test_matches_brute_force_on_generated_inputs(self):
+        zero_step_seen = set()
+
+        @settings(max_examples=400, deadline=None)
+        @given(extrema_inputs())
+        @example(np.array([0.0, 1.0, 0.0]))
+        @example(np.array([0.0, 1.0, 1.0, 0.0]))
+        @example(np.array([1.0, -0.0, 0.0, 1.0]))
+        def check(x):
+            ext = emd.find_local_extrema(x)
+            bf_max, bf_min = brute_force_extrema(x)
+            assert list(ext.maxima_idx) == bf_max
+            assert list(ext.minima_idx) == bf_min
+            zero_step_seen.add(bool((np.diff(x) == 0.0).any()))
+
+        check()
+        assert zero_step_seen == {False, True}  # both the plateau and the fast case ran
+
     def test_alternation(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -257,6 +290,16 @@ class TestSplineEnvelope:
         with warnings.catch_warnings(), pytest.raises(ValueError, match="infs or NaNs"):
             warnings.simplefilter("error")
             emd.spline_envelope(xk, yk, n)
+
+    @pytest.mark.parametrize("xk, yk", [([0, 5], [0.0, 1.0]),
+                                        ([0, 2, 5, 9], [0.0, 1.0, -1.0, 2.0])])
+    def test_negative_length_rejected(self, xk, yk):
+        with pytest.raises(ValueError, match="output length"):
+            emd.spline_envelope(xk, yk, -1)
+
+    def test_zero_length_is_empty(self):
+        env = emd.spline_envelope([0, 2, 5, 9], [0.0, 1.0, -1.0, 2.0], 0)
+        assert env.shape == (0,)
 
     def test_two_knots_propagate_nan(self):
         # no system to solve, so nothing is checked: the line is NaN
@@ -442,7 +485,41 @@ class TestDecompose:
         assert np.array_equal(d1.residual, d2.residual)
 
 
+def _savetxt_dump(fh, signal, dec):
+    """The dump writer before block formatting, one ``np.savetxt`` call,
+    copied verbatim: the byte reference for `write_decomposition_csv`."""
+    n_cols = max(emd.DEFAULT_MAX_IMFS, len(dec.imfs))
+    header = "t,input," + ",".join(f"imf{i + 1}" for i in range(n_cols)) + ",residual"
+    t = np.arange(signal.samples.size) / signal.sample_rate_hz
+    table = np.column_stack([t, signal.samples, *dec.imfs, dec.residual])
+    cells = ["%.17g"] * (2 + len(dec.imfs)) + [""] * (n_cols - len(dec.imfs)) + ["%.17g"]
+    np.savetxt(fh, table, fmt=",".join(cells), header=header, comments="")
+
+
+BLOCK = emd._DUMP_BLOCK_ROWS
+
+
 class TestDecompositionCsv:
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("n_modes", [0, 1, 5, 7])
+    def test_bytes_equal_savetxt_at_block_edges(self, tmp_path, rows, n_modes):
+        rng = np.random.default_rng(rows * 10 + n_modes)
+        values = rng.standard_normal((n_modes + 2, rows)) * 10.0 ** rng.integers(-300, 300, rows)
+        values.flat[:2] = -0.0, 1e-310  # signed zero and a subnormal
+        # a stand-in with the two attributes the writer reads: a Signal needs two samples
+        signal = SimpleNamespace(samples=values[0], sample_rate_hz=7)
+        dec = emd.ImfDecomposition(imfs=list(values[1:-1]), residual=values[-1])
+        ref = io.StringIO()
+        _savetxt_dump(ref, signal, dec)
+
+        handle = io.StringIO()
+        emd.write_decomposition_csv(handle, signal, dec)
+        assert handle.getvalue() == ref.getvalue()
+        path = tmp_path / "dump.csv"
+        emd.write_decomposition_csv(path, signal, dec)
+        assert path.read_bytes() == ref.getvalue().encode()
+        assert ref.getvalue().count("\n") == rows + 1
+
     def test_columns_and_empty_fields(self, tmp_path):
         t = np.arange(200) / 100.0
         sig = Signal(np.sin(2 * np.pi * 3 * t), 100, "s")

@@ -17,6 +17,26 @@ def make_wav(payload, audio_format=1, n_channels=1, rate=8000, bits=16):
     return head + payload
 
 
+KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def make_extensible_wav(payload, code=1, n_channels=1, rate=8000, bits=16,
+                        valid_bits=None, tail=KSDATAFORMAT_TAIL, fmt_size=40):
+    """WAVE_FORMAT_EXTENSIBLE header, built field by field: the 16 plain
+    bytes tagged 0xFFFE, then cbSize 22, valid bits, channel mask and the
+    SubFormat GUID (format code + KSDATAFORMAT tail). `fmt_size` < 40 cuts
+    the chunk short."""
+    block = n_channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, n_channels, rate, rate * block, block, bits)
+    fmt += struct.pack("<HHIH", 22, bits if valid_bits is None else valid_bits,
+                       (1 << n_channels) - 1, code) + tail
+    fmt = fmt[:fmt_size]
+    chunk = b"fmt " + struct.pack("<I", len(fmt)) + fmt + bytes(len(fmt) & 1)
+    head = b"RIFF" + struct.pack("<I", 4 + len(chunk) + 8 + len(payload)) + b"WAVE" + chunk
+    head += b"data" + struct.pack("<I", len(payload))
+    return head + payload
+
+
 class TestDecodeWav:
     def test_pcm16_values(self):
         payload = struct.pack("<4h", 0, 16384, -16384, 0)
@@ -69,6 +89,32 @@ class TestDecodeWav:
         payload = struct.pack(f"<{len(values)}h", *values)
         sig = decode_wav(make_wav(payload))
         assert np.array_equal(sig.samples * 32768.0, values)
+
+    @pytest.mark.parametrize("code, bits, pack", [(1, 16, "h"), (3, 32, "f")])
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_extensible_equals_plain(self, code, bits, pack, n_channels):
+        rng = np.random.default_rng(code + n_channels)
+        values = rng.integers(-32768, 32768, 40) if pack == "h" else rng.standard_normal(40)
+        payload = struct.pack(f"<40{pack}", *values)
+        plain = decode_wav(make_wav(payload, audio_format=code, n_channels=n_channels,
+                                    bits=bits))
+        ext = decode_wav(make_extensible_wav(payload, code=code, n_channels=n_channels,
+                                             bits=bits))
+        assert ext.sample_rate_hz == plain.sample_rate_hz
+        assert np.array_equal(ext.samples, plain.samples)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(code=2),  # ADPCM
+        dict(code=3),  # float code in a 16-bit container
+        dict(valid_bits=12),  # 12 valid bits in 16
+        dict(tail=bytes(14)),  # not a KSDATAFORMAT GUID
+        dict(fmt_size=18),  # cbSize 0: no extension
+        dict(fmt_size=39),  # GUID cut short
+        dict(bits=24),  # 24-bit PCM
+    ])
+    def test_extensible_other_formats_rejected(self, kwargs):
+        with pytest.raises(UnsupportedEncoding):
+            decode_wav(make_extensible_wav(bytes(12), **kwargs))
 
     def test_pcm16_roundtrip_exact(self):
         rng = np.random.default_rng(0)
