@@ -144,16 +144,19 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     ValueError
         When the knot arrays differ in length, when `n` is negative, when a
         knot is NaN or the knot span overflows, when the knots are not
-        strictly increasing, or when the system for the interior second
-        derivatives (three or more knots) holds an inf or a NaN.
+        strictly increasing, when a slope between neighbouring knots is
+        infinite, or when the system for the interior second derivatives
+        (three or more knots) holds an inf or a NaN.
 
     Notes
     -----
-    Cubes of the offsets from the knots are products, ``d * d * d``. With
-    integer knots (every caller in this package) the offsets are integers,
-    and while |d| <= 2**17 the product is exact, so it equals ``d**3`` bit
-    for bit. With non-integer knots the values agree with ``d**3`` to
-    rounding only.
+    Piece k, from knot x[k] to x[k+1] = x[k] + h, is evaluated in Horner
+    form ``((d*u + c)*u + b)*u + y[k]`` in ``u = t - x[k]``, from the second
+    derivatives M: ``b = (y[k+1] - y[k])/h - h*(2*M[k] + M[k+1])/6``,
+    ``c = M[k]/2``, ``d = (M[k+1] - M[k])/(6*h)``. It agrees with the
+    two-sided cube form to rounding: the tests allow 1e-12 of the larger of
+    that form's and the knot values' largest magnitude, plus the smallest
+    normal float.
     """
     xk = np.asarray(knot_idx, dtype=np.float64)
     yk = np.asarray(knot_val, dtype=np.float64)
@@ -169,12 +172,14 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         # tridiagonal system for the interior second derivatives (three or more knots)
         diag = (h[:-1] + h[1:]) / 3.0
         off = h[1:-1] / 6.0
-        rhs = np.diff(yk) / h
-        rhs = rhs[1:] - rhs[:-1]
+        slope = np.diff(yk) / h
+        rhs = slope[1:] - slope[:-1]
     if not span < np.inf:  # also true for a NaN end knot
         raise ValueError("array must not contain infs or NaNs")
     if np.any(h <= 0):
         raise ValueError("knot indices must be strictly increasing")
+    if np.isinf(slope).any():  # an infinite knot value, or finite ones too far apart
+        raise ValueError("array must not contain infs or NaNs")
 
     m = xk.size
     M = np.zeros(m)  # second derivatives, natural ends stay zero
@@ -194,31 +199,18 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     # the piece of t is the number of those starts at or before t.
     starts = np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp)
     i = np.bincount(starts, minlength=n + 1)[:n].cumsum()
-    h6 = (6.0 * h).take(i)
-    c_left = yk[:-1] / h - M[:-1] * h / 6.0
-    c_right = yk[1:] / h - M[1:] * h / 6.0
-
-    # M[i] * (left*left*left) / h6 + M[i+1] * (right*right*right) / h6
-    # + c_left[i] * left + c_right[i] * right, evaluated in place with the
-    # operands and order of that expression; g holds t, then each gathered
-    # per-piece value in turn (mode="clip" lets take write into g directly;
-    # every index is in range).
-    g = np.arange(n, dtype=np.float64)
-    left = xk[1:].take(i)
-    left -= g
-    right = xk[:-1].take(i)
-    np.subtract(g, right, out=right)
-    out = left * left
-    out *= left
-    np.multiply(M[:-1].take(i, out=g, mode="clip"), out, out=out)
-    out /= h6
-    cube = right * right
-    cube *= right
-    np.multiply(M[1:].take(i, out=g, mode="clip"), cube, out=cube)
-    cube /= h6
-    out += cube
-    out += np.multiply(c_left.take(i, out=g, mode="clip"), left, out=g)
-    out += np.multiply(c_right.take(i, out=g, mode="clip"), right, out=g)
+    # Horner form, evaluated in place; g holds each piece's first knot, then
+    # each gathered coefficient in turn (mode="clip" lets take write into g
+    # directly; every index is in range).
+    b = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
+    d = np.diff(M) / (6.0 * h)
+    g = xk[:-1].take(i)
+    u = np.arange(n, dtype=np.float64)
+    u -= g
+    out = d.take(i)
+    for coef in (M[:-1] / 2.0, b, yk[:-1]):
+        out *= u
+        out += coef.take(i, out=g, mode="clip")
     return out
 
 
@@ -250,7 +242,11 @@ def count_zero_crossings(samples) -> int:
     Only strictly opposite nonzero signs count; zero samples inherit the
     previous nonzero sign (leading zeros have none and never pair).
     """
-    s = np.sign(np.asarray(samples, dtype=np.float64))
+    x = np.asarray(samples, dtype=np.float64)
+    neg = x < 0.0
+    if (neg | (x > 0.0)).all():  # no zero and no NaN: every sign is strict
+        return int(np.count_nonzero(neg[1:] != neg[:-1]))
+    s = np.sign(x)
     s = s[s != 0.0]  # dropping zeros pairs each sign with the previous nonzero one
     return int(np.count_nonzero(s[1:] * s[:-1] < 0.0))
 

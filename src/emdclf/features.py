@@ -120,8 +120,9 @@ def _shape_moments(x: np.ndarray) -> tuple[float, float]:
     if x.min() == x.max():
         return 0.0, 0.0
     c = x - x.mean()
-    m2 = np.mean(c * c)
-    return float(np.mean(c**3) / m2**1.5), float(np.mean(c**4) / (m2 * m2) - 3.0)
+    c2 = c * c
+    m2 = np.mean(c2)
+    return float(np.mean(c2 * c) / m2**1.5), float(np.mean(c2 * c2) / (m2 * m2) - 3.0)
 
 
 def _block(x: np.ndarray, sample_rate_hz) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from emdclf.errors import InsufficientKnots
 from emdclf.features import LabeledDataset
 
 
@@ -16,3 +18,43 @@ def two_gaussians(seed=42, n_per_class=200, dim=2, offset=2.0):
 @pytest.fixture(scope="session")
 def gaussian_data():
     return two_gaussians()
+
+
+def _parent_spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
+    """The spline kernel before it called LAPACK's gtsv directly, copied
+    verbatim (searchsorted pieces, solve_banded, the two-sided ``**3``
+    formula). `emd.spline_envelope` must agree with it to rounding, see
+    `assert_agrees_with_parent` in test_emd.py."""
+    xk = np.asarray(knot_idx, dtype=np.float64)
+    yk = np.asarray(knot_val, dtype=np.float64)
+    if xk.size < 2:
+        raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
+    if xk.size != yk.size:
+        raise ValueError("knot index/value lengths differ")
+    if np.any(np.diff(xk) <= 0):
+        raise ValueError("knot indices must be strictly increasing")
+
+    m = xk.size
+    h = np.diff(xk)
+    M = np.zeros(m)  # second derivatives, natural ends stay zero
+    if m > 2:
+        # tridiagonal system for the interior second derivatives
+        diag = (h[:-1] + h[1:]) / 3.0
+        off = h[1:-1] / 6.0
+        rhs = np.diff(yk) / h
+        rhs = rhs[1:] - rhs[:-1]
+        ab = np.zeros((3, m - 2))
+        ab[0, 1:] = off
+        ab[1, :] = diag
+        ab[2, :-1] = off
+        M[1:-1] = solve_banded((1, 1), ab, rhs)
+
+    t = np.arange(n, dtype=np.float64)
+    i = np.clip(np.searchsorted(xk, t, side="right") - 1, 0, m - 2)
+    hi = h[i]
+    left = xk[i + 1] - t
+    right = t - xk[i]
+    return (M[i] * left**3 / (6.0 * hi)
+            + M[i + 1] * right**3 / (6.0 * hi)
+            + (yk[i] / hi - M[i] * hi / 6.0) * left
+            + (yk[i + 1] / hi - M[i + 1] * hi / 6.0) * right)

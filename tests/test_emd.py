@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
 
 from emdclf import emd
 from emdclf.errors import InsufficientExtrema, InsufficientKnots, TooShort
 from emdclf.signal import Signal
 from emdclf.synthetic import tone_burst
+
+from conftest import _parent_spline_envelope
 
 
 def zero_crossings_loop(x):
@@ -25,6 +26,13 @@ def zero_crossings_loop(x):
             last = np.sign(v)
         filled.append(last)
     return sum(a * b < 0.0 for a, b in zip(filled, filled[1:]))
+
+
+def _parent_count_zero_crossings(samples):
+    """`emd.count_zero_crossings` before its no-zero fast path, verbatim."""
+    s = np.sign(np.asarray(samples, dtype=np.float64))
+    s = s[s != 0.0]  # dropping zeros pairs each sign with the previous nonzero one
+    return int(np.count_nonzero(s[1:] * s[:-1] < 0.0))
 
 
 def brute_force_extrema(x):
@@ -90,43 +98,15 @@ def natural_spline_oracle(xk, yk, t):
     return out
 
 
-def _parent_spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
-    """The spline kernel before it called LAPACK's gtsv directly, copied
-    verbatim (searchsorted pieces, solve_banded, ``**3``). On integer knots
-    `emd.spline_envelope` must reproduce it bit for bit."""
-    xk = np.asarray(knot_idx, dtype=np.float64)
-    yk = np.asarray(knot_val, dtype=np.float64)
-    if xk.size < 2:
-        raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
-    if xk.size != yk.size:
-        raise ValueError("knot index/value lengths differ")
-    if np.any(np.diff(xk) <= 0):
-        raise ValueError("knot indices must be strictly increasing")
-
-    m = xk.size
-    h = np.diff(xk)
-    M = np.zeros(m)  # second derivatives, natural ends stay zero
-    if m > 2:
-        # tridiagonal system for the interior second derivatives
-        diag = (h[:-1] + h[1:]) / 3.0
-        off = h[1:-1] / 6.0
-        rhs = np.diff(yk) / h
-        rhs = rhs[1:] - rhs[:-1]
-        ab = np.zeros((3, m - 2))
-        ab[0, 1:] = off
-        ab[1, :] = diag
-        ab[2, :-1] = off
-        M[1:-1] = solve_banded((1, 1), ab, rhs)
-
-    t = np.arange(n, dtype=np.float64)
-    i = np.clip(np.searchsorted(xk, t, side="right") - 1, 0, m - 2)
-    hi = h[i]
-    left = xk[i + 1] - t
-    right = t - xk[i]
-    return (M[i] * left**3 / (6.0 * hi)
-            + M[i + 1] * right**3 / (6.0 * hi)
-            + (yk[i] / hi - M[i] * hi / 6.0) * left
-            + (yk[i + 1] / hi - M[i + 1] * hi / 6.0) * right)
+def assert_agrees_with_parent(n, xk, yk):
+    """The spline tolerance contract: within 1e-12 of the larger of the
+    reference's and the knots' largest magnitude, plus the smallest normal
+    float. The knot term covers a reference that cancels to 0 (n = 1), the
+    float term subnormal knot values."""
+    env = emd.spline_envelope(xk, yk, n)
+    parent = _parent_spline_envelope(xk, yk, n)
+    scale = max(np.abs(parent).max(), np.abs(yk).max())
+    assert np.abs(env - parent).max() <= 1e-12 * scale + np.finfo(float).tiny
 
 
 @st.composite
@@ -263,19 +243,17 @@ class TestSplineEnvelope:
     @example((10, np.array([-3.0, 4.0, 12.0]), np.array([0.5, -2.0, 1.0])))
     @example((1, np.array([0.0, 2.0, 5.0]), np.array([1e3, -1e-3, 7.0])))
     @example((7, np.array([-5.0, 20.0]), np.array([1.0, -1.0])))
-    def test_integer_knots_bit_identical_to_parent_kernel(self, case):
-        n, xk, yk = case
-        assert np.array_equal(emd.spline_envelope(xk, yk, n),
-                              _parent_spline_envelope(xk, yk, n))
+    @example((171, np.array([-346.0, -228.0, 0.0]), np.array([0.0, 0.0, 5.945e-305])))
+    @example((17, np.array([0.0, 2.0, 7.0]), np.array([0.0, 0.0, 2.225e-309])))
+    def test_integer_knots_agree_to_rounding(self, case):
+        assert_agrees_with_parent(*case)
 
     @settings(max_examples=300, deadline=None)
     @given(spline_cases(integer_knots=False))
     @example((10, np.array([-3.25, 4.5, 12.125]), np.array([0.5, -2.0, 1.0])))
+    @example((1, np.array([-1.0, 0.0, 2.05]), np.array([0.0, 0.0, 1.0])))
     def test_non_integer_knots_agree_to_rounding(self, case):
-        n, xk, yk = case
-        env = emd.spline_envelope(xk, yk, n)
-        parent = _parent_spline_envelope(xk, yk, n)
-        assert np.abs(env - parent).max() <= 1e-12 * np.abs(parent).max()
+        assert_agrees_with_parent(*case)
 
     @pytest.mark.parametrize("xk, yk, n", [
         ([0, 5, 10, 15], [0.0, np.nan, 0.0, 1.0], 20),
@@ -284,6 +262,8 @@ class TestSplineEnvelope:
         ([-1e308, 0, 1e308], [0.0, 1.0, 0.0], 4),  # the diagonal overflows
         ([-1e308, 1e308, 1.5e308], [0.0, 1.0, 0.0], 4),  # a knot gap overflows
         ([-1e308, 1e308], [0.0, 1.0], 4),  # two knots: no system, the span overflows
+        ([0, 1], [-1e308, 1e308], 2),  # two knots: the slope overflows
+        ([0, 5], [np.inf, 0.0], 2),  # two knots: an infinite value
     ])
     def test_non_finite_system_raises(self, xk, yk, n):
         # no floating-point warning comes before the error
@@ -354,6 +334,26 @@ class TestZeroCrossings:
                     max_size=40))
     def test_matches_sign_fill_loop(self, xs):
         assert emd.count_zero_crossings(xs) == zero_crossings_loop(xs)
+
+    def test_matches_parent_formula(self):
+        strict_seen = set()
+        special = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+        nonzero = st.floats(allow_nan=False).filter(lambda v: v != 0.0)
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.one_of(st.lists(nonzero, max_size=300),
+                         st.lists(st.one_of(nonzero, special), max_size=300)))
+        @example([])
+        @example([-0.0, 1.0, -1.0])
+        @example([1.0, np.nan, -1.0])
+        @example([np.inf, -np.inf, 5e-324])
+        def check(xs):
+            x = np.array(xs, dtype=np.float64)
+            assert emd.count_zero_crossings(x) == _parent_count_zero_crossings(x)
+            strict_seen.add(bool(((x < 0.0) | (x > 0.0)).all()))
+
+        check()
+        assert strict_seen == {False, True}  # both the fast and the zero-aware case ran
 
 
 class TestIsImf:

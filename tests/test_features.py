@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from emdclf import emd, features
+from emdclf.cli import RunConfig, run_extract
 from emdclf.emd import ImfDecomposition
 from emdclf.errors import CacheFormatError, TooShort
 from emdclf.features import (CACHE_HEADER, FEATURE_NAMES, N_FEATURES,
@@ -10,6 +14,9 @@ from emdclf.features import (CACHE_HEADER, FEATURE_NAMES, N_FEATURES,
                              extract_feature_vector, hjorth,
                              read_feature_cache, shannon_entropy,
                              write_feature_cache, zero_crossing_rate)
+from emdclf.synthetic import generate_corpus
+
+from conftest import _parent_spline_envelope
 
 
 def entropy_oracle(x, bins=64):
@@ -27,6 +34,31 @@ def entropy_oracle(x, bins=64):
             p = c / len(x)
             h -= p * math.log2(p)
     return h
+
+
+def _parent_shape_moments(x):
+    """`features._shape_moments` when it raised to powers with libm `pow`,
+    verbatim."""
+    if x.min() == x.max():
+        return 0.0, 0.0
+    c = x - x.mean()
+    m2 = np.mean(c * c)
+    return float(np.mean(c**3) / m2**1.5), float(np.mean(c**4) / (m2 * m2) - 3.0)
+
+
+def moment_inputs():
+    """Integer multiples of a scale (a spread well above underflow), constant
+    runs, and near-constant runs: an offset plus tiny integer multiples,
+    which at large offsets round to a few distinct values."""
+    spread = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=200)
+    return st.one_of(
+        st.builds(lambda k, s: s * np.array(k, dtype=np.float64), spread,
+                  st.floats(1e-6, 1e6)),
+        st.builds(lambda v, n: np.full(n, v), st.floats(-1e6, 1e6), st.integers(1, 50)),
+        st.builds(lambda v, eps, k: v + eps * np.array(k, dtype=np.float64),
+                  st.floats(-1e6, 1e6), st.sampled_from([1e-12, 1e-9, 1e-6]),
+                  st.lists(st.integers(-1000, 1000), min_size=2, max_size=200)),
+    )
 
 
 def fake_decomposition(imfs, n):
@@ -166,6 +198,40 @@ class TestExtractFeatureVector:
                 imfs.append(imf)
             vec = extract_feature_vector(fake_decomposition(imfs, n), 1000)
             assert np.all(np.isfinite(vec.values))
+
+
+class TestShapeMomentOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(moment_inputs())
+    @example(np.array([1.0, 1.0, 1.0 + 2.0**-52]))
+    @example(np.array([3.0]))
+    def test_products_agree_with_pow(self, x):
+        # relative to the terms' magnitude: skewness may cancel to about 0,
+        # and kurtosis + 3 is the ratio the moments actually form
+        skew, kurt = features._shape_moments(x)
+        skew0, kurt0 = _parent_shape_moments(x)
+        if x.min() == x.max():
+            assert (skew, kurt) == (skew0, kurt0) == (0.0, 0.0)
+            return
+        c = x - x.mean()
+        m2 = np.mean(c * c)
+        assert abs(skew - skew0) <= 1e-12 * np.mean(np.abs(c) ** 3) / m2**1.5
+        assert abs(kurt - kurt0) <= 1e-12 * (kurt0 + 3.0)
+
+    def test_golden_corpus_features_agree_with_former_kernel(self, tmp_path, monkeypatch):
+        # the golden corpus of test_golden.py; the contract is per column,
+        # relative to the column's largest magnitude
+        manifest = generate_corpus(tmp_path / "corpus", n_per_class=8, seed=3, n_samples=2000)
+        config = RunConfig(manifest=manifest, out_dir=tmp_path / "now")
+        now = read_feature_cache(run_extract(config)).features
+        monkeypatch.setattr(emd, "spline_envelope", _parent_spline_envelope)
+        monkeypatch.setattr(features, "_shape_moments", _parent_shape_moments)
+        config = RunConfig(manifest=manifest, out_dir=tmp_path / "former")
+        former = read_feature_cache(run_extract(config)).features
+        assert now.shape == former.shape == (16, N_FEATURES)
+        assert not np.array_equal(now, former)  # the patches took effect
+        scale = np.abs(former).max(axis=0)
+        assert (np.abs(now - former) <= 1e-10 * scale).all()
 
 
 class TestFeatureVectorType:
