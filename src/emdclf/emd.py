@@ -10,8 +10,8 @@ Conventions fixed here (and relied on by the tests):
 
 * extrema are strict neighbours; a plateau flanked by strictly smaller
   (larger) values counts once, at its floor midpoint; endpoints never count
-* envelopes are natural cubic splines fitted after mirroring the two nearest
-  extrema of each kind about both signal endpoints
+* envelopes are natural cubic splines through each kind's extrema and the two
+  nearest mirrored about both ends; one stacked kernel builds both at once
 * a zero crossing is a pair of consecutive samples with strictly opposite
   nonzero signs; zero samples inherit the previous nonzero sign
 * a candidate is accepted as a mode when |crossings - extrema| <= 1 and the
@@ -166,62 +166,91 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         raise ValueError("knot index/value lengths differ")
     if n < 0:
         raise ValueError(f"output length must be >= 0, got {n}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        h = np.diff(xk)
-        span = xk[-1] - xk[0]
-        # tridiagonal system for the interior second derivatives (three or more knots)
-        diag = (h[:-1] + h[1:]) / 3.0
-        off = h[1:-1] / 6.0
-        slope = np.diff(yk) / h
-        rhs = slope[1:] - slope[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        span, h = xk[-1] - xk[0], np.diff(xk)
     if not span < np.inf:  # also true for a NaN end knot
         raise ValueError("array must not contain infs or NaNs")
     if np.any(h <= 0):
         raise ValueError("knot indices must be strictly increasing")
-    if np.isinf(slope).any():  # an infinite knot value, or finite ones too far apart
-        raise ValueError("array must not contain infs or NaNs")
-
-    m = xk.size
-    M = np.zeros(m)  # second derivatives, natural ends stay zero
-    if m > 2:
-        if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        if m == 3:  # one unknown; gtsv rejects empty off-diagonals
-            M[1] = rhs[0] / diag[0]
-        else:
-            _, _, _, M[1:-1], info = dgtsv(off, diag, off, rhs)
-            if info != 0:
-                raise np.linalg.LinAlgError("singular spline system")
-
+    pieces = _spline_pieces(xk, yk, (0, xk.size))
     # Grid point t lies on piece i, between knots i and i + 1, where knot i
     # is the last knot <= t; the end pieces also take the points beyond the
     # outer knots. So piece k >= 1 starts at the first integer >= knot k, and
     # the piece of t is the number of those starts at or before t.
     starts = np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp)
     i = np.bincount(starts, minlength=n + 1)[:n].cumsum()
-    # Horner form, evaluated in place; g holds each piece's first knot, then
-    # each gathered coefficient in turn (mode="clip" lets take write into g
-    # directly; every index is in range).
+    return _horner(pieces, i, np.arange(n, dtype=np.float64))
+
+
+def _spline_pieces(xk: np.ndarray, yk: np.ndarray, bounds: tuple):
+    """Each piece's first knot and Horner coefficients (highest order first)
+    of the natural splines through the knot sets ``bounds[j]:bounds[j + 1]``
+    of one stacked array. A piece joining two sets gets a zero slope and is
+    never evaluated. Raises ValueError as `spline_envelope` documents for an
+    infinite slope or a non-finite system."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        h = np.diff(xk)
+        # tridiagonal systems for the interior second derivatives (three or more knots)
+        diag = (h[:-1] + h[1:]) / 3.0
+        off = h[1:-1] / 6.0
+        slope = np.diff(yk) / h
+        slope[[lo - 1 for lo in bounds[1:-1]]] = 0.0
+        rhs = slope[1:] - slope[:-1]
+    if np.isinf(slope).any() or not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+
+    M = np.zeros(xk.size)  # second derivatives, natural ends stay zero
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo == 3:  # one unknown; gtsv rejects empty off-diagonals
+            M[lo + 1] = rhs[lo] / diag[lo]
+        elif hi - lo > 3:
+            _, _, _, M[lo + 1:hi - 1], info = dgtsv(off[lo:hi - 3], diag[lo:hi - 2],
+                                                    off[lo:hi - 3], rhs[lo:hi - 2])
+            if info != 0:
+                raise np.linalg.LinAlgError("singular spline system")
     b = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
     d = np.diff(M) / (6.0 * h)
-    g = xk[:-1].take(i)
-    u = np.arange(n, dtype=np.float64)
+    return xk[:-1], d, M[:-1] / 2.0, b, yk[:-1]
+
+
+def _horner(pieces, i: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`pieces` at grid positions `u` (overwritten), position p on piece i[p], in
+    place: g holds each first knot, then each gathered coefficient (mode="clip"
+    lets take write into g; every index is in range)."""
+    first, d, *coefs = pieces
+    g = first.take(i)
     u -= g
     out = d.take(i)
-    for coef in (M[:-1] / 2.0, b, yk[:-1]):
+    for coef in coefs:
         out *= u
         out += coef.take(i, out=g, mode="clip")
     return out
 
 
-def _mirrored_knots(idx: np.ndarray, vals: np.ndarray, n: int):
-    # Reflect the two nearest extrema about each endpoint to tame end swing.
-    left_i = np.array([-idx[1], -idx[0]], dtype=np.float64)
-    left_v = np.array([vals[1], vals[0]])
-    right_i = np.array([2 * (n - 1) - idx[-1], 2 * (n - 1) - idx[-2]], dtype=np.float64)
-    right_v = np.array([vals[-1], vals[-2]])
-    return (np.concatenate([left_i, idx.astype(np.float64), right_i]),
-            np.concatenate([left_v, vals, right_v]))
+def _envelope_mean(x: np.ndarray, ext: ExtremaSet) -> np.ndarray:
+    """Mean of the two envelopes of `x`. Each kind's knots are its extrema and
+    the two nearest reflected about both ends to tame end swing; both sets go
+    into one knot array, maxima first, on one grid that runs 0..n-1 twice."""
+    n = x.size
+    mx, mn = ext.maxima_idx, ext.minima_idx
+    k = np.concatenate((mx[1::-1], mx, mx[:-3:-1], mn[1::-1], mn, mn[:-3:-1]))
+    xk, yk = k.astype(np.float64), x.take(k)
+    a, m, r = mx.size + 4, k.size, 2.0 * (n - 1)
+    mirrored = np.array([0, 1, a - 2, a - 1, a, a + 1, m - 2, m - 1])
+    xk[mirrored] = np.array([0.0, 0.0, r, r, 0.0, 0.0, r, r]) - xk[mirrored]
+    # Piece index (see spline_envelope): upper piece 1 starts at 0, one more
+    # at each maximum; lower piece a + 1, 4 past the last upper one, at n,
+    # one more at each n + minimum.
+    i = np.zeros(2 * n, np.intp)
+    i[[0, n]] = 1, 4
+    i[mx] = i[n + mn] = 1
+    np.cumsum(i, out=i)
+    u = np.arange(2 * n, dtype=np.float64)
+    u[n:] -= n
+    both = _horner(_spline_pieces(xk, yk, (0, a, m)), i, u)
+    both[:n] += both[n:]
+    both[:n] *= 0.5
+    return both[:n]
 
 
 def mean_envelope(samples) -> np.ndarray:
@@ -263,10 +292,7 @@ def _check_candidate(x: np.ndarray):
     envelope = None
     ratio = float("nan")
     if n_max >= 2 and n_min >= 2:
-        n = x.size
-        upper = spline_envelope(*_mirrored_knots(ext.maxima_idx, x[ext.maxima_idx], n), n)
-        lower = spline_envelope(*_mirrored_knots(ext.minima_idx, x[ext.minima_idx], n), n)
-        envelope = 0.5 * (upper + lower)
+        envelope = _envelope_mean(x, ext)
         peak = np.abs(x).max()
         ratio = float(np.abs(envelope).max() / peak) if peak > 0 else float("inf")
     passed = (abs(crossings - (n_max + n_min)) <= 1

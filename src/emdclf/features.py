@@ -122,6 +122,10 @@ def _shape_moments(x: np.ndarray) -> tuple[float, float]:
     c = x - x.mean()
     c2 = c * c
     m2 = np.mean(c2)
+    if m2 * m2 < np.finfo(float).tiny:  # c**4 underflows: scale c exactly, by a power of two
+        c = np.ldexp(c, -np.frexp(np.abs(c).max())[1])
+        c2 = c * c
+        m2 = np.mean(c2)
     return float(np.mean(c2 * c) / m2**1.5), float(np.mean(c2 * c2) / (m2 * m2) - 3.0)
 
 

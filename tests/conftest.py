@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import solve_banded
 
 from emdclf.errors import InsufficientKnots
 from emdclf.features import LabeledDataset
+
+# CI selects this with --hypothesis-profile=ci: a failure prints the blob
+# that reproduces it, and a slow shared runner never trips a deadline.
+settings.register_profile("ci", print_blob=True, deadline=None)
 
 
 def two_gaussians(seed=42, n_per_class=200, dim=2, offset=2.0):
@@ -58,3 +63,23 @@ def _parent_spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
             + M[i + 1] * right**3 / (6.0 * hi)
             + (yk[i] / hi - M[i] * hi / 6.0) * left
             + (yk[i + 1] / hi - M[i + 1] * hi / 6.0) * right)
+
+
+def mirrored_knots(idx, vals, n: int):
+    """The knots of one envelope, as the mode test places them: the extrema,
+    with the two nearest reflected about each end of the grid 0..n-1."""
+    left_i = np.array([-idx[1], -idx[0]], dtype=np.float64)
+    left_v = np.array([vals[1], vals[0]])
+    right_i = np.array([2 * (n - 1) - idx[-1], 2 * (n - 1) - idx[-2]], dtype=np.float64)
+    right_v = np.array([vals[-1], vals[-2]])
+    return (np.concatenate([left_i, idx.astype(np.float64), right_i]),
+            np.concatenate([left_v, vals, right_v]))
+
+
+def envelope_mean_from(spline, x, ext):
+    """Mean of the upper and lower envelope of `x`, each drawn on its own by
+    `spline` (a function like `emd.spline_envelope`)."""
+    n = x.size
+    upper = spline(*mirrored_knots(ext.maxima_idx, x[ext.maxima_idx], n), n)
+    lower = spline(*mirrored_knots(ext.minima_idx, x[ext.minima_idx], n), n)
+    return 0.5 * (upper + lower)

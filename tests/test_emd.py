@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from emdclf import emd
@@ -13,7 +13,7 @@ from emdclf.errors import InsufficientExtrema, InsufficientKnots, TooShort
 from emdclf.signal import Signal
 from emdclf.synthetic import tone_burst
 
-from conftest import _parent_spline_envelope
+from conftest import _parent_spline_envelope, envelope_mean_from, mirrored_knots
 
 
 def zero_crossings_loop(x):
@@ -125,6 +125,24 @@ def spline_cases(draw, integer_knots=True):
     scale = draw(st.floats(1e-3, 1e3))
     yk = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
     return n, xk, yk
+
+
+@st.composite
+def envelope_signals(draw):
+    """Signals of 6..3,000 samples: noise scaled by 1e-3..1e3; a noisy sine
+    quantized to a few levels, so extrema are often plateaus; and zigzags
+    through exactly 2 maxima and 2 minima at random places."""
+    n = draw(st.integers(6, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "quantized", "two_pairs"]))
+    if kind == "noise":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "quantized":
+        t = np.arange(n) * rng.uniform(0.01, 1.0)
+        return np.round(rng.integers(1, 5) * (np.sin(t) + 0.3 * rng.standard_normal(n)))
+    turns = np.sort(rng.choice(np.arange(1, n - 1), size=4, replace=False))
+    peaks = rng.uniform(1.0, 2.0, size=4) * [1, -1, 1, -1] * rng.choice([-1, 1])
+    return np.interp(np.arange(n), np.r_[0, turns, n - 1], np.r_[0.0, peaks, 0.0])
 
 
 class TestFindLocalExtrema:
@@ -305,9 +323,37 @@ class TestMeanEnvelope:
         rng = np.random.default_rng(13)
         x = rng.standard_normal(300)
         ext = emd.find_local_extrema(x)
-        knots = emd._mirrored_knots(ext.maxima_idx, x[ext.maxima_idx], x.size)
+        knots = mirrored_knots(ext.maxima_idx, x[ext.maxima_idx], x.size)
         upper = emd.spline_envelope(*knots, x.size)
         assert np.all(upper[ext.maxima_idx] >= x[ext.maxima_idx] - 1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(envelope_signals())
+    # the step from the last maximum to the first minimum overflows; it
+    # joins the two stacked knot sets and belongs to neither envelope
+    @example(np.array([0.0, 1e308, 0.0, -1e308, 0.0, 1e308, 0.0, -1e308, 0.0]))
+    def test_stacked_envelopes_equal_separate_ones(self, x):
+        ext = emd.find_local_extrema(x)
+        assume(ext.maxima_idx.size >= 2 and ext.minima_idx.size >= 2)
+        expected = envelope_mean_from(emd.spline_envelope, x, ext)
+        assert np.array_equal(emd.mean_envelope(x), expected)
+
+    @pytest.mark.parametrize("x", [
+        # maxima of 1e308 and -1e308: the upper slope between them overflows
+        np.array([0, 1, 0, -1.7, -1, -1.7, 0, 1, 0, -1.7, -1, -1.7, 0]) * 1e308,
+        # the same for the lower envelope
+        np.array([0, -1, 0, 1.7, 1, 1.7, 0, -1, 0, 1.7, 1, 1.7, 0]) * 1e308,
+        # a NaN sample counts as a minimum, so the lower system holds a NaN
+        np.array([0.0, 1.0, 0.0, 1.0, np.nan, 1.0, 0.0, 1.0, 0.0]),
+    ], ids=["upper_slope_overflows", "lower_slope_overflows", "nan_minimum"])
+    def test_non_finite_envelope_raises_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                envelope_mean_from(emd.spline_envelope, x, emd.find_local_extrema(x))
+            for call in (emd.mean_envelope, emd.is_imf, emd.sift):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    call(x)
 
     def test_single_extremum_pair_insufficient(self):
         x = np.concatenate([np.linspace(0, 1, 5), np.linspace(1, -1, 9),

@@ -1,8 +1,9 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from emdclf import emd, features
@@ -16,7 +17,7 @@ from emdclf.features import (CACHE_HEADER, FEATURE_NAMES, N_FEATURES,
                              write_feature_cache, zero_crossing_rate)
 from emdclf.synthetic import generate_corpus
 
-from conftest import _parent_spline_envelope
+from conftest import _parent_spline_envelope, envelope_mean_from
 
 
 def entropy_oracle(x, bins=64):
@@ -222,16 +223,43 @@ class TestShapeMomentOracle:
         # the golden corpus of test_golden.py; the contract is per column,
         # relative to the column's largest magnitude
         manifest = generate_corpus(tmp_path / "corpus", n_per_class=8, seed=3, n_samples=2000)
-        config = RunConfig(manifest=manifest, out_dir=tmp_path / "now")
-        now = read_feature_cache(run_extract(config)).features
-        monkeypatch.setattr(emd, "spline_envelope", _parent_spline_envelope)
+
+        def features_of(name):
+            config = RunConfig(manifest=manifest, out_dir=tmp_path / name)
+            return read_feature_cache(run_extract(config)).features
+
+        now = features_of("now")
+        # the mode test builds both envelopes in one kernel; the former one
+        # draws each envelope on its own
+        monkeypatch.setattr(emd, "_envelope_mean", partial(envelope_mean_from,
+                                                           _parent_spline_envelope))
+        former_spline = features_of("former_spline")
         monkeypatch.setattr(features, "_shape_moments", _parent_shape_moments)
-        config = RunConfig(manifest=manifest, out_dir=tmp_path / "former")
-        former = read_feature_cache(run_extract(config)).features
+        former = features_of("former")
         assert now.shape == former.shape == (16, N_FEATURES)
-        assert not np.array_equal(now, former)  # the patches took effect
+        # each patch took effect on its own
+        assert not np.array_equal(now, former_spline)
+        assert not np.array_equal(former_spline, former)
         scale = np.abs(former).max(axis=0)
         assert (np.abs(now - former) <= 1e-10 * scale).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(moment_inputs(), st.integers(-700, -300))
+    @example(np.array([0.0, 1.0, -1.0, 2.0, 0.0]), -565)  # about [0, 1e-170, -1e-170, 2e-170, 0]
+    @example(np.array([0.3, -1.2, 0.5, 2.0, -0.7]), -266)  # about 1e-80
+    def test_underflowing_moments_equal_rescaled_ones(self, x, e):
+        # the fourth powers of x * 2**e underflow; the moments are those of
+        # the input rescaled so that its largest deviation has exponent 0.
+        # Nonzero values >= 2**-250 keep every step of x * 2**e normal, so
+        # each scaling is exact.
+        assume(x.min() != x.max() and (np.abs(x[x != 0]) >= 2.0**-250).all())
+        small = np.ldexp(x, e)
+        c = small - small.mean()
+        assume(np.mean(c * c) ** 2 < np.finfo(float).tiny)
+        rescaled = np.ldexp(small, -np.frexp(np.abs(c).max())[1])
+        moments = features._shape_moments(small)
+        assert np.isfinite(moments).all()
+        assert moments == features._shape_moments(rescaled)
 
 
 class TestFeatureVectorType:
