@@ -11,7 +11,7 @@ Conventions fixed here (and relied on by the tests):
 * extrema are strict neighbours; a plateau flanked by strictly smaller
   (larger) values counts once, at its floor midpoint; endpoints never count
 * envelopes are natural cubic splines through each kind's extrema and the two
-  nearest mirrored about both ends; one stacked kernel builds both at once
+  nearest mirrored about both ends; one evaluator draws both at once
 * a zero crossing is a pair of consecutive samples with strictly opposite
   nonzero signs; zero samples inherit the previous nonzero sign
 * a candidate is accepted as a mode when |crossings - extrema| <= 1 and the
@@ -172,14 +172,7 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         raise ValueError("array must not contain infs or NaNs")
     if np.any(h <= 0):
         raise ValueError("knot indices must be strictly increasing")
-    pieces = _spline_pieces(xk, yk, (0, xk.size))
-    # Grid point t lies on piece i, between knots i and i + 1, where knot i
-    # is the last knot <= t; the end pieces also take the points beyond the
-    # outer knots. So piece k >= 1 starts at the first integer >= knot k, and
-    # the piece of t is the number of those starts at or before t.
-    starts = np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp)
-    i = np.bincount(starts, minlength=n + 1)[:n].cumsum()
-    return _horner(pieces, i, np.arange(n, dtype=np.float64))
+    return _splines(xk, yk, (0, xk.size), np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp), n)
 
 
 def _spline_pieces(xk: np.ndarray, yk: np.ndarray, bounds: tuple):
@@ -213,11 +206,22 @@ def _spline_pieces(xk: np.ndarray, yk: np.ndarray, bounds: tuple):
     return xk[:-1], d, M[:-1] / 2.0, b, yk[:-1]
 
 
-def _horner(pieces, i: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`pieces` at grid positions `u` (overwritten), position p on piece i[p], in
-    place: g holds each first knot, then each gathered coefficient (mode="clip"
-    lets take write into g; every index is in range)."""
-    first, d, *coefs = pieces
+def _splines(xk: np.ndarray, yk: np.ndarray, bounds: tuple, starts, n: int) -> np.ndarray:
+    """Natural splines through the knot sets ``bounds[j]:bounds[j + 1]`` of one
+    stacked array, set j sampled at 0..n-1 into ``out[j*n:(j + 1)*n]``. Point t
+    lies on the piece from its set's last knot <= t (end pieces also take the
+    points beyond the outer knots), so piece k >= 1 starts at the first integer
+    >= knot k, clipped to [0, n], plus j*n. `starts` lists those positions (any
+    at the end are dropped); a point's piece is the count of starts up to it."""
+    first, d, *coefs = _spline_pieces(xk, yk, bounds)
+    size = n * (len(bounds) - 1)
+    i = np.bincount(starts, minlength=size + 1)[:size]
+    del starts  # the callers pass a temporary: free it before the 2n-length arrays
+    np.cumsum(i, out=i)
+    u = np.empty(size)
+    u.reshape(len(bounds) - 1, n)[:] = np.arange(n, dtype=np.float64)
+    # Horner in place: g holds each first knot, then each gathered coefficient
+    # (mode="clip" lets take write into g; every index is in range).
     g = first.take(i)
     u -= g
     out = d.take(i)
@@ -238,16 +242,10 @@ def _envelope_mean(x: np.ndarray, ext: ExtremaSet) -> np.ndarray:
     a, m, r = mx.size + 4, k.size, 2.0 * (n - 1)
     mirrored = np.array([0, 1, a - 2, a - 1, a, a + 1, m - 2, m - 1])
     xk[mirrored] = np.array([0.0, 0.0, r, r, 0.0, 0.0, r, r]) - xk[mirrored]
-    # Piece index (see spline_envelope): upper piece 1 starts at 0, one more
-    # at each maximum; lower piece a + 1, 4 past the last upper one, at n,
-    # one more at each n + minimum.
-    i = np.zeros(2 * n, np.intp)
-    i[[0, n]] = 1, 4
-    i[mx] = i[n + mn] = 1
-    np.cumsum(i, out=i)
-    u = np.arange(2 * n, dtype=np.float64)
-    u[n:] -= n
-    both = _horner(_spline_pieces(xk, yk, (0, a, m)), i, u)
+    # The pieces' starts, read off the extrema (see _splines): upper piece 1
+    # at 0, one more at each maximum; the last upper piece, the joining piece
+    # and lower pieces a and a + 1 at n; one more at each n + minimum.
+    both = _splines(xk, yk, (0, a, m), np.concatenate(((0,), mx, (n, n, n, n), n + mn)), n)
     both[:n] += both[n:]
     both[:n] *= 0.5
     return both[:n]

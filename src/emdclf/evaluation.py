@@ -189,9 +189,8 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, curve.points, fmt="%.10g", delimiter=",",
-                   header="fpr,tpr,threshold", comments="")
+    write_csv(path, ["fpr", "tpr", "threshold"],
+              ([f"{v:.10g}" for v in row] for row in curve.points))
 
 
 def format_confusion_block(name: str, cm: ConfusionMatrix) -> str:

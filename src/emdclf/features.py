@@ -120,12 +120,11 @@ def _shape_moments(x: np.ndarray) -> tuple[float, float]:
     if x.min() == x.max():
         return 0.0, 0.0
     c = x - x.mean()
+    peak = np.abs(c).max()
+    if not 2.0**-200 < peak < 2.0**200:  # c**4 may under- or overflow: scale c exactly
+        c = np.ldexp(c, -np.frexp(peak)[1])
     c2 = c * c
     m2 = np.mean(c2)
-    if m2 * m2 < np.finfo(float).tiny:  # c**4 underflows: scale c exactly, by a power of two
-        c = np.ldexp(c, -np.frexp(np.abs(c).max())[1])
-        c2 = c * c
-        m2 = np.mean(c2)
     return float(np.mean(c2 * c) / m2**1.5), float(np.mean(c2 * c2) / (m2 * m2) - 3.0)
 
 

@@ -106,6 +106,8 @@ def decode_wav(data: bytes, source_id: str = "") -> Signal:
         raise UnsupportedEncoding(f"{bits}-bit PCM")
     if audio_format == _FORMAT_IEEE_FLOAT and bits != 32:
         raise UnsupportedEncoding(f"{bits}-bit float")
+    if sample_rate == 0:
+        raise MalformedWav("sample rate of 0 Hz")
 
     frame_size = n_channels * bits // 8
     if len(raw) % frame_size != 0:

@@ -127,7 +127,7 @@ class TestRunExtract:
         assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 0
         assert len((out / "features.csv").read_text().splitlines()) - 1 == 2
         sidecar_rows = (out / "errors.csv").read_text().splitlines()
-        assert sidecar_rows[1:] == ["zero_rate.wav,ValueError: sample rate must be positive"]
+        assert sidecar_rows[1:] == ["zero_rate.wav,MalformedWav: sample rate of 0 Hz"]
 
     def test_unreadable_file_goes_to_sidecar(self, tmp_path, monkeypatch):
         wav = encode_wav(np.sin(np.linspace(0, 20, 400)), RATE)
@@ -360,6 +360,14 @@ class TestMainEntry:
         assert main(["evaluate", "--cache", str(cache), "--out", str(out)]) == 4
         assert not out.exists()
         assert "CacheFormatError: line 2" in capsys.readouterr().err
+
+    def test_zero_rate_wav_decompose_exit_code(self, tmp_path, capsys):
+        wav = tmp_path / "zero_rate.wav"
+        wav.write_bytes(encode_wav(np.sin(np.linspace(0, 20, 400)), 0))
+        out = tmp_path / "d.csv"
+        assert main(["decompose", "--wav", str(wav), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "MalformedWav: sample rate of 0 Hz" in capsys.readouterr().err
 
     def test_bad_missing_wav_decompose_exit_code(self, tmp_path, capsys):
         assert main(["decompose", "--wav", str(tmp_path / "no.wav"),

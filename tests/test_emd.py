@@ -273,6 +273,19 @@ class TestSplineEnvelope:
     def test_non_integer_knots_agree_to_rounding(self, case):
         assert_agrees_with_parent(*case)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dense_knots_agree_to_rounding(self, data):
+        # 2..7 knots inside each chosen unit gap of the grid, so several pieces
+        # start at one grid point and the piece index must count every start
+        n = data.draw(st.integers(2, 200))
+        gaps = data.draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=8, unique=True))
+        eighths = st.lists(st.integers(1, 7), min_size=2, max_size=7, unique=True)
+        xk = np.sort(np.concatenate([g + np.array(data.draw(eighths)) / 8.0 for g in gaps]))
+        yk = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=xk.size,
+                                         max_size=xk.size)))
+        assert_agrees_with_parent(n, xk, yk)
+
     @pytest.mark.parametrize("xk, yk, n", [
         ([0, 5, 10, 15], [0.0, np.nan, 0.0, 1.0], 20),
         ([0, 5, 10], [0.0, np.inf, 0.0], 20),

@@ -7,7 +7,7 @@ from emdclf.errors import (Empty, EmptyMatrix, LengthMismatch,
                            SingleClassLabels, TooFewPerClass)
 from emdclf.evaluation import (ConfusionMatrix, confusion, cross_validate,
                                format_summary, metrics, rank_rows, roc,
-                               stratified_kfold, write_metrics_csv)
+                               stratified_kfold, write_metrics_csv, write_roc_csv)
 from emdclf.features import LabeledDataset
 
 from conftest import two_gaussians
@@ -268,6 +268,18 @@ class TestReportHelpers:
         lines = path.read_text().splitlines()
         assert lines[0] == "algorithm,acc,rec,spe,pre,f1,auc"
         assert lines[1] == "alpha,90.00,90.00,90.00,90.00,90.00,0.9500"
+
+    def test_roc_csv_bytes_equal_savetxt(self, tmp_path):
+        # the former writer was np.savetxt with "%.10g" cells
+        rng = np.random.default_rng(4)
+        for k in (0, 1, 2, 7, 40):
+            y = np.r_[0, 1, rng.integers(0, 2, k)]
+            curve = roc(rng.standard_normal(y.size) * 10.0 ** rng.integers(-12, 12, y.size), y)
+            write_roc_csv(tmp_path / "now.csv", curve)
+            with open(tmp_path / "former.csv", "w", newline="") as fh:
+                np.savetxt(fh, curve.points, fmt="%.10g", delimiter=",",
+                           header="fpr,tpr,threshold", comments="")
+            assert (tmp_path / "now.csv").read_bytes() == (tmp_path / "former.csv").read_bytes()
 
     def test_summary_contains_all_rows(self):
         text = format_summary(self.rows())

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -244,22 +245,35 @@ class TestShapeMomentOracle:
         assert (np.abs(now - former) <= 1e-10 * scale).all()
 
     @settings(max_examples=200, deadline=None)
-    @given(moment_inputs(), st.integers(-700, -300))
+    @given(moment_inputs(), st.one_of(st.integers(-700, -300), st.integers(300, 960)))
     @example(np.array([0.0, 1.0, -1.0, 2.0, 0.0]), -565)  # about [0, 1e-170, -1e-170, 2e-170, 0]
     @example(np.array([0.3, -1.2, 0.5, 2.0, -0.7]), -266)  # about 1e-80
+    @example(np.array([0.0, 1.0, -1.0, 2.0, 0.0]), 266)  # about 1e80
+    @example(np.array([0.3, -1.2, 0.5, 2.0, -0.7]), 994)  # up to about 3e299
     def test_underflowing_moments_equal_rescaled_ones(self, x, e):
-        # the fourth powers of x * 2**e underflow; the moments are those of
+        # the fourth powers of x * 2**e under- or overflow (every deviation is
+        # below 2**-258, or the largest above 2**258); the moments are those of
         # the input rescaled so that its largest deviation has exponent 0.
-        # Nonzero values >= 2**-250 keep every step of x * 2**e normal, so
-        # each scaling is exact.
+        # Nonzero values >= 2**-250 keep every step of x * 2**e normal, and
+        # magnitudes up to 1e300 keep its sum finite, so each scaling is exact.
         assume(x.min() != x.max() and (np.abs(x[x != 0]) >= 2.0**-250).all())
+        assume(np.frexp(np.abs(x).max())[1] + e <= 996)  # 2**996 < 1e300
         small = np.ldexp(x, e)
         c = small - small.mean()
-        assume(np.mean(c * c) ** 2 < np.finfo(float).tiny)
         rescaled = np.ldexp(small, -np.frexp(np.abs(c).max())[1])
-        moments = features._shape_moments(small)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = features._shape_moments(small)
         assert np.isfinite(moments).all()
         assert moments == features._shape_moments(rescaled)
+
+    def test_overflowing_mode_gives_finite_features(self):
+        # a mode far above z-scored scale: its fourth powers overflow
+        x = np.array([0.0, 1e80, -1e80, 2e80, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = extract_feature_vector(fake_decomposition([x], x.size), 1000)
+        assert np.isfinite(vec.values).all()
 
 
 class TestFeatureVectorType:

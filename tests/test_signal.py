@@ -84,6 +84,13 @@ class TestDecodeWav:
         with pytest.raises(MalformedWav):
             decode_wav(make_wav(payload, audio_format=3, bits=32))
 
+    @pytest.mark.parametrize("blob", [make_wav(struct.pack("<4h", 0, 1, 2, 3), rate=0),
+                                      make_extensible_wav(struct.pack("<4h", 0, 1, 2, 3), rate=0)],
+                             ids=["plain", "extensible"])
+    def test_zero_sample_rate_is_malformed(self, blob):
+        with pytest.raises(MalformedWav, match="0 Hz"):
+            decode_wav(blob)
+
     def test_sample_order_preserved(self):
         values = list(range(-50, 50))
         payload = struct.pack(f"<{len(values)}h", *values)
