@@ -11,7 +11,8 @@ Conventions fixed here (and relied on by the tests):
 * extrema are strict neighbours; a plateau flanked by strictly smaller
   (larger) values counts once, at its floor midpoint; endpoints never count
 * envelopes are natural cubic splines through each kind's extrema and the two
-  nearest mirrored about both ends; one evaluator draws both at once
+  nearest mirrored about both ends; one evaluator draws both at once, in
+  fixed-size blocks of grid points, and sums them in place
 * a zero crossing is a pair of consecutive samples with strictly opposite
   nonzero signs; zero samples inherit the previous nonzero sign
 * a candidate is accepted as a mode when |crossings - extrema| <= 1 and the
@@ -37,6 +38,8 @@ MAX_SIFT_ITERS = 100
 DEFAULT_MAX_IMFS = 5
 #: rows of the decomposition dump formatted per write
 _DUMP_BLOCK_ROWS = 4096
+#: points of the stacked spline grid evaluated at a time (64 KB per float buffer)
+_GRID_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -182,59 +185,89 @@ def _spline_pieces(xk: np.ndarray, yk: np.ndarray, bounds: tuple):
     never evaluated. Raises ValueError as `spline_envelope` documents for an
     infinite slope or a non-finite system."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        h = np.diff(xk)
+        h = np.subtract(xk[1:], xk[:-1])
         # tridiagonal systems for the interior second derivatives (three or more knots)
-        diag = (h[:-1] + h[1:]) / 3.0
+        diag = h[:-1] + h[1:]
+        diag /= 3.0
         off = h[1:-1] / 6.0
-        slope = np.diff(yk) / h
+        slope = np.subtract(yk[1:], yk[:-1])
+        slope /= h
         slope[[lo - 1 for lo in bounds[1:-1]]] = 0.0
-        rhs = slope[1:] - slope[:-1]
+        M = np.zeros(xk.size)  # second derivatives; each set's end knots stay zero
+        rhs = np.subtract(slope[1:], slope[:-1], out=M[1:-1])  # solved in place into M
     if np.isinf(slope).any() or not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
 
-    M = np.zeros(xk.size)  # second derivatives, natural ends stay zero
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi - lo == 3:  # one unknown; gtsv rejects empty off-diagonals
-            M[lo + 1] = rhs[lo] / diag[lo]
+            rhs[lo] /= diag[lo]
         elif hi - lo > 3:
-            _, _, _, M[lo + 1:hi - 1], info = dgtsv(off[lo:hi - 3], diag[lo:hi - 2],
-                                                    off[lo:hi - 3], rhs[lo:hi - 2])
-            if info != 0:
+            # off is both the sub- and the superdiagonal, so gtsv must not overwrite it
+            if dgtsv(off[lo:hi - 3], diag[lo:hi - 2], off[lo:hi - 3], rhs[lo:hi - 2],
+                     overwrite_d=1, overwrite_b=1)[-1] != 0:
                 raise np.linalg.LinAlgError("singular spline system")
-    b = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
-    d = np.diff(M) / (6.0 * h)
-    return xk[:-1], d, M[:-1] / 2.0, b, yk[:-1]
+    M[[j for lo in bounds[1:-1] for j in (lo - 1, lo)]] = 0.0  # the rows joining two sets
+    del diag, off  # freed before the coefficients are formed
+    b = M[:-1] * 2.0
+    b += M[1:]
+    b *= h
+    b /= 6.0
+    slope -= b  # now each piece's linear coefficient
+    d = np.subtract(M[1:], M[:-1], out=b)
+    h *= 6.0
+    d /= h
+    M /= 2.0
+    return xk[:-1], d, M[:-1], slope, yk[:-1]
 
 
-def _splines(xk: np.ndarray, yk: np.ndarray, bounds: tuple, starts, n: int) -> np.ndarray:
-    """Natural splines through the knot sets ``bounds[j]:bounds[j + 1]`` of one
-    stacked array, set j sampled at 0..n-1 into ``out[j*n:(j + 1)*n]``. Point t
+def _splines(xk: np.ndarray, yk: np.ndarray, bounds: tuple, starts: np.ndarray,
+             n: int) -> np.ndarray:
+    """Sum of the natural splines through one or two knot sets
+    ``bounds[j]:bounds[j + 1]`` of one stacked array, each sampled at 0..n-1.
+
+    Point t of set j is point t + j*n of a stacked grid, evaluated in blocks
+    of `_GRID_BLOCK` points, so the temporaries do not grow with n. Point t
     lies on the piece from its set's last knot <= t (end pieces also take the
-    points beyond the outer knots), so piece k >= 1 starts at the first integer
-    >= knot k, clipped to [0, n], plus j*n. `starts` lists those positions (any
-    at the end are dropped); a point's piece is the count of starts up to it."""
+    points beyond the outer knots), so piece k >= 1 starts at the first
+    integer >= knot k, clipped to [0, n], plus j*n. `starts` lists those
+    positions in order (any at the end are dropped); a point's piece is the
+    count of starts up to it, which a block forms from its own starts plus
+    the count of earlier ones. The first set's values go straight into
+    ``out[:n]``; a block's second-set values land just past them and are
+    added in, so a single block is one Horner sweep and one add.
+    """
     first, d, *coefs = _spline_pieces(xk, yk, bounds)
     size = n * (len(bounds) - 1)
-    i = np.bincount(starts, minlength=size + 1)[:size]
-    del starts  # the callers pass a temporary: free it before the 2n-length arrays
-    np.cumsum(i, out=i)
-    u = np.empty(size)
-    u.reshape(len(bounds) - 1, n)[:] = np.arange(n, dtype=np.float64)
-    # Horner in place: g holds each first knot, then each gathered coefficient
-    # (mode="clip" lets take write into g; every index is in range).
-    g = first.take(i)
-    u -= g
-    out = d.take(i)
-    for coef in coefs:
-        out *= u
-        out += coef.take(i, out=g, mode="clip")
-    return out
+    step = min(size, _GRID_BLOCK) or 1
+    out = np.empty(n + min(size - n, step))
+    gather = np.empty(step)
+    lo = count = 0
+    for s in range(0, size, step):
+        e = min(s + step, size)
+        hi = starts.size if e == size else starts.searchsorted(e)
+        i = np.bincount(starts[lo:hi] - s, minlength=e - s + 1)[:e - s]
+        i[0] += count
+        np.add.accumulate(i, out=i)
+        lo, count = hi, i[-1]
+        k = min(max(n - s, 0), e - s)  # the block's first point of the second set
+        u = np.arange(s, e, dtype=np.float64)
+        u[k:] -= n
+        # Horner in place: g holds each first knot, then each gathered coefficient
+        # (mode="clip" lets take write into its out; every index is in range).
+        g = gather[:e - s]
+        u -= first.take(i, out=g, mode="clip")
+        o = d.take(i, out=out[min(s, n):min(s, n) + e - s], mode="clip")
+        for coef in coefs:
+            o *= u
+            o += coef.take(i, out=g, mode="clip")
+        out[s + k - n:e - n] += o[k:]
+    return out[:n]
 
 
 def _envelope_mean(x: np.ndarray, ext: ExtremaSet) -> np.ndarray:
     """Mean of the two envelopes of `x`. Each kind's knots are its extrema and
     the two nearest reflected about both ends to tame end swing; both sets go
-    into one knot array, maxima first, on one grid that runs 0..n-1 twice."""
+    into one knot array, maxima first, and `_splines` sums their splines."""
     n = x.size
     mx, mn = ext.maxima_idx, ext.minima_idx
     k = np.concatenate((mx[1::-1], mx, mx[:-3:-1], mn[1::-1], mn, mn[:-3:-1]))
@@ -245,10 +278,9 @@ def _envelope_mean(x: np.ndarray, ext: ExtremaSet) -> np.ndarray:
     # The pieces' starts, read off the extrema (see _splines): upper piece 1
     # at 0, one more at each maximum; the last upper piece, the joining piece
     # and lower pieces a and a + 1 at n; one more at each n + minimum.
-    both = _splines(xk, yk, (0, a, m), np.concatenate(((0,), mx, (n, n, n, n), n + mn)), n)
-    both[:n] += both[n:]
-    both[:n] *= 0.5
-    return both[:n]
+    mean = _splines(xk, yk, (0, a, m), np.concatenate(((0,), mx, (n, n, n, n), n + mn)), n)
+    mean *= 0.5
+    return mean
 
 
 def mean_envelope(samples) -> np.ndarray:

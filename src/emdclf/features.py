@@ -115,13 +115,23 @@ def hjorth(samples):
     return var_x, float(mobility), float(complexity)
 
 
+def _unit_scaled(x: np.ndarray):
+    """(x * 2**-e, e), where e brings the largest |x| into [0.5, 1) when it lies
+    outside (2**-200, 2**200), so squares, fourth powers and sums of the
+    result neither under- nor overflow; e = 0 (and x itself) otherwise."""
+    peak = np.abs(x).max()
+    e = 0 if 2.0**-200 < peak < 2.0**200 else int(np.frexp(peak)[1])  # 0 for 0, inf, NaN
+    return (np.ldexp(x, -e) if e else x), e
+
+
 def _shape_moments(x: np.ndarray) -> tuple[float, float]:
     """(skewness, excess kurtosis), both 0 for a flat input."""
     if x.min() == x.max():
         return 0.0, 0.0
+    x, e = _unit_scaled(x)  # the mean's sum may overflow
     c = x - x.mean()
     peak = np.abs(c).max()
-    if not 2.0**-200 < peak < 2.0**200:  # c**4 may under- or overflow: scale c exactly
+    if e or not 2.0**-200 < peak < 2.0**200:  # c**4 may under- or overflow: scale c exactly
         c = np.ldexp(c, -np.frexp(peak)[1])
     c2 = c * c
     m2 = np.mean(c2)
@@ -129,12 +139,15 @@ def _shape_moments(x: np.ndarray) -> tuple[float, float]:
 
 
 def _block(x: np.ndarray, sample_rate_hz) -> np.ndarray:
+    # every square and sum is taken of x scaled by a power of two; only the
+    # first three features depend on scale, and they are scaled back exactly
+    x, e = _unit_scaled(x)
     _, mobility, complexity = hjorth(x)
     skewness, kurtosis = _shape_moments(x)
     return np.array([
-        np.mean(np.abs(x)),
-        np.std(x, ddof=1),
-        np.sqrt(np.mean(x * x)),
+        np.ldexp(np.mean(np.abs(x)), e),
+        np.ldexp(np.std(x, ddof=1), e),
+        np.ldexp(np.sqrt(np.mean(x * x)), e),
         skewness,
         kurtosis,
         zero_crossing_rate(x, sample_rate_hz),

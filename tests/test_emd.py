@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 from dataclasses import astuple
 from types import SimpleNamespace
@@ -373,6 +374,80 @@ class TestMeanEnvelope:
                             np.linspace(-1, 0, 5)])
         with pytest.raises(InsufficientExtrema):
             emd.mean_envelope(x)
+
+
+def blocked(call, block, *args):
+    """`call(*args)` with the stacked spline grid evaluated `block` points at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emd, "_GRID_BLOCK", block)
+        return call(*args)
+
+
+def block_sizes(n):
+    """1, 7, 64 and the sizes about n and 2n that put block edges on or next
+    to the set boundary at n."""
+    return sorted({b for b in (1, 7, 64, n - 1, n, n + 1, 2 * n - 1) if b >= 1})
+
+
+def zigzag(n, maxima, minima):
+    """A piecewise-linear signal whose only extrema are the given ones."""
+    turns = sorted([(i, 1.0) for i in maxima] + [(i, -1.0) for i in minima])
+    return np.interp(np.arange(n), [0] + [i for i, _ in turns] + [n - 1],
+                     [0.0] + [v for _, v in turns] + [0.0])
+
+
+class TestGridBlocks:
+    """Every block size gives the bytes of a single block (2n <= 8192 here)."""
+
+    @pytest.mark.parametrize("x", [
+        # extrema on multiples of 7: with 7-point blocks every start of both
+        # sets, and the set boundary at n = 63, lies on a block edge
+        zigzag(63, [7, 21, 35, 49], [14, 28, 42, 56]),
+        zigzag(64, [7, 21, 35, 49], [14, 28, 42, 56]),
+        zigzag(6, [1, 3], [2, 4]),  # the shortest signal with two of each
+        np.random.default_rng(21).standard_normal(300),
+        np.round(3 * np.sin(np.arange(257) * 0.3)),  # plateaus
+    ], ids=["edges_63", "edges_64", "n6", "noise_300", "plateaus_257"])
+    def test_mean_envelope(self, x):
+        one = emd.mean_envelope(x)
+        for block in block_sizes(x.size):
+            assert blocked(emd.mean_envelope, block, x).tobytes() == one.tobytes(), block
+
+    @pytest.mark.parametrize("n, xk", [
+        (0, [0.0, 2.0, 5.0, 9.0]),
+        (1, [-3.0, 0.0, 0.5, 4.0]),
+        (2, [0.0, 1.0, 2.0]),
+        (2, [-1.0, 0.25, 0.5, 0.75, 3.0]),  # three starts at 1
+        (14, [-5.0, 0.0, 7.0, 7.25, 7.5, 14.0, 20.0]),  # starts on 7-point edges, two at 8
+        (64, [-2.0, 0.0, 1.0, 63.0, 63.5, 64.0, 64.5, 70.0]),  # clipped to 0 and 64
+        (100, list(np.arange(-7.0, 120.0, 7.0))),
+    ])
+    def test_spline_envelope(self, n, xk):
+        yk = np.cos(np.arange(len(xk)) * 1.7)
+        one = emd.spline_envelope(xk, yk, n)
+        for block in block_sizes(n):
+            got = blocked(emd.spline_envelope, block, xk, yk, n)
+            assert got.tobytes() == one.tobytes(), block
+
+    @settings(max_examples=100, deadline=None)
+    @given(envelope_signals(), st.integers(1, 6000))
+    def test_any_block_size(self, x, block):
+        ext = emd.find_local_extrema(x)
+        assume(ext.maxima_idx.size >= 2 and ext.minima_idx.size >= 2)
+        assert blocked(emd.mean_envelope, block, x).tobytes() == emd.mean_envelope(x).tobytes()
+
+    def test_mode_test_memory_is_bounded(self):
+        # one mode test on a 2**16-sample iterate: every 2n-length temporary
+        # would add 1 MB; numpy reports its buffers to tracemalloc
+        x = np.random.default_rng(0).standard_normal(2**16)
+        emd._check_candidate(x)  # the first call fills numpy's own caches
+        tracemalloc.start()
+        try:
+            emd._check_candidate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_000_000
 
 
 class TestZeroCrossings:

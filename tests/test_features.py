@@ -267,13 +267,55 @@ class TestShapeMomentOracle:
         assert np.isfinite(moments).all()
         assert moments == features._shape_moments(rescaled)
 
-    def test_overflowing_mode_gives_finite_features(self):
-        # a mode far above z-scored scale: its fourth powers overflow
-        x = np.array([0.0, 1e80, -1e80, 2e80, 0.0])
+    @pytest.mark.parametrize("scale", [1e80, 1e160, 1e300])
+    def test_overflowing_mode_gives_finite_features(self, scale):
+        # modes far above z-scored scale: their fourth powers overflow from
+        # 1e80, their squares (RMS, std, hjorth's variances) from 1e160
+        x = np.array([0.0, 1.0, -1.0, 2.0, 0.0]) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vec = extract_feature_vector(fake_decomposition([x], x.size), 1000)
         assert np.isfinite(vec.values).all()
+        assert vec.values[:3] == pytest.approx(np.array([0.8, 1.1401754250991378, 1.0954451150103321])
+                                               * scale, rel=1e-15)
+
+    def test_moments_near_the_largest_float(self):
+        # the sum in the mean overflows unless the input is scaled first
+        x = np.array([1.0, 1.0, 0.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = features._shape_moments(x * 1e308)
+        assert moments == pytest.approx(features._shape_moments(x), rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(moment_inputs(), st.one_of(st.integers(-700, -300), st.integers(300, 960)))
+    @example(np.array([0.0, 1.0, -1.0, 2.0, 0.0]), 531)  # about 1e160
+    @example(np.array([0.3, -1.2, 0.5, 2.0, -0.7]), -600)  # about 1e-181
+    @example(np.array([0.3, -1.2, 0.5, 2.0, -0.7]), 994)  # up to about 3e299
+    def test_block_equals_rescaled_one(self, x, e):
+        # the features of x * 2**e are those of x rescaled so that its largest
+        # magnitude has exponent 0, with the three amplitude features scaled
+        # back by the same power of two; the same bounds as above keep every
+        # scaling exact
+        assume(x.size >= 3 and (np.abs(x[x != 0]) >= 2.0**-250).all())
+        peak = np.frexp(np.abs(x).max())[1]
+        assume(peak + e <= 996)
+
+        def block(v):
+            try:
+                return features._block(v, 1000)
+            except ValueError as exc:  # np.histogram finds too small a range for 64 bins
+                return str(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = block(np.ldexp(x, e))
+        want = block(np.ldexp(x, -peak))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            want[:3] = np.ldexp(want[:3], peak + e)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFeatureVectorType:
