@@ -267,10 +267,17 @@ class TestShapeMomentOracle:
         assert np.isfinite(moments).all()
         assert moments == features._shape_moments(rescaled)
 
-    @pytest.mark.parametrize("scale", [1e80, 1e160, 1e300])
-    def test_overflowing_mode_gives_finite_features(self, scale):
-        # modes far above z-scored scale: their fourth powers overflow from
-        # 1e80, their squares (RMS, std, hjorth's variances) from 1e160
+    def test_overflowing_mode_gives_finite_features(self):
+        # a mode far above z-scored scale: its fourth powers overflow
+        self._check_finite_amplitude_features(1e80)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_squares_give_finite_features(self, scale):
+        # further up, its squares (RMS, std, hjorth's variances) overflow too
+        self._check_finite_amplitude_features(scale)
+
+    @staticmethod
+    def _check_finite_amplitude_features(scale):
         x = np.array([0.0, 1.0, -1.0, 2.0, 0.0]) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
