@@ -11,8 +11,8 @@ Conventions fixed here (and relied on by the tests):
 * extrema are strict neighbours; a plateau flanked by strictly smaller
   (larger) values counts once, at its floor midpoint; endpoints never count
 * envelopes are natural cubic splines through each kind's extrema and the two
-  nearest mirrored about both ends; one evaluator draws both at once, in
-  fixed-size blocks of grid points, and sums them in place
+  nearest mirrored about both ends; one solve and one evaluator serve both
+  envelopes, drawn in fixed-size blocks of grid points and summed in place
 * a zero crossing is a pair of consecutive samples with strictly opposite
   nonzero signs; zero samples inherit the previous nonzero sign
 * a candidate is accepted as a mode when |crossings - extrema| <= 1 and the
@@ -153,13 +153,12 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
 
     Notes
     -----
-    Piece k, from knot x[k] to x[k+1] = x[k] + h, is evaluated in Horner
-    form ``((d*u + c)*u + b)*u + y[k]`` in ``u = t - x[k]``, from the second
-    derivatives M: ``b = (y[k+1] - y[k])/h - h*(2*M[k] + M[k+1])/6``,
-    ``c = M[k]/2``, ``d = (M[k+1] - M[k])/(6*h)``. It agrees with the
-    two-sided cube form to rounding: the tests allow 1e-12 of the larger of
-    that form's and the knot values' largest magnitude, plus the smallest
-    normal float.
+    Piece k is evaluated in Horner form ``((d*u + c)*u + b)*u + y[k]`` in
+    ``u = t - x[k]``, from h = x[k+1] - x[k] and the second derivatives M:
+    ``b = (y[k+1] - y[k])/h - h*(2*M[k] + M[k+1])/6``, ``c = M[k]/2``,
+    ``d = (M[k+1] - M[k])/(6*h)``. It agrees with the two-sided cube form to
+    rounding (the tests allow 1e-12 of the larger of that form's and the knot
+    values' largest magnitude, plus the smallest normal float).
     """
     xk = np.asarray(knot_idx, dtype=np.float64)
     yk = np.asarray(knot_val, dtype=np.float64)
@@ -175,38 +174,48 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         raise ValueError("array must not contain infs or NaNs")
     if np.any(h <= 0):
         raise ValueError("knot indices must be strictly increasing")
-    return _splines(xk, yk, (0, xk.size), np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp), n)
+    return _splines(xk, yk, xk.size, n)
 
 
-def _spline_pieces(xk: np.ndarray, yk: np.ndarray, bounds: tuple):
-    """Each piece's first knot and Horner coefficients (highest order first)
-    of the natural splines through the knot sets ``bounds[j]:bounds[j + 1]``
-    of one stacked array. A piece joining two sets gets a zero slope and is
-    never evaluated. Raises ValueError as `spline_envelope` documents for an
-    infinite slope or a non-finite system."""
+def _splines(xk: np.ndarray, yk: np.ndarray, a: int, n: int) -> np.ndarray:
+    """Sum of the natural splines through knots ``:a`` and ``a:`` of one
+    stacked array (only the first if ``a`` is its size; a set has >= 3
+    knots, and knots a - 1 and a differ), each sampled at 0..n-1. Raises as
+    `spline_envelope` documents.
+
+    One gtsv solves both sets: the rows of knots a - 1 and a, where they
+    join, say M = 0 and couple to nothing, so each set is eliminated exactly
+    as if alone (the system is diagonally dominant, so gtsv never pivots).
+    The joining piece gets a zero slope and is never evaluated.
+
+    Point t of set j is point t + j*n of a stacked grid, evaluated in blocks
+    of `_GRID_BLOCK` points. Its piece is the count of piece starts up to it:
+    piece k >= 1 starts at ceil(knot k) clipped to [0, n], plus n in the
+    second set, and the joining piece and the second set's first piece start
+    at n. A block's first-set values go straight into ``out[:n]``; its
+    second-set values land just past them and are added in.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         h = np.subtract(xk[1:], xk[:-1])
-        # tridiagonal systems for the interior second derivatives (three or more knots)
         diag = h[:-1] + h[1:]
         diag /= 3.0
         off = h[1:-1] / 6.0
         slope = np.subtract(yk[1:], yk[:-1])
         slope /= h
-        slope[[lo - 1 for lo in bounds[1:-1]]] = 0.0
-        M = np.zeros(xk.size)  # second derivatives; each set's end knots stay zero
+        slope[a - 1:a] = 0.0
+        M = np.zeros(xk.size)  # each set's end knots stay zero
         rhs = np.subtract(slope[1:], slope[:-1], out=M[1:-1])  # solved in place into M
     if np.isinf(slope).any() or not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo == 3:  # one unknown; gtsv rejects empty off-diagonals
-            rhs[lo] /= diag[lo]
-        elif hi - lo > 3:
-            # off is both the sub- and the superdiagonal, so gtsv must not overwrite it
-            if dgtsv(off[lo:hi - 3], diag[lo:hi - 2], off[lo:hi - 3], rhs[lo:hi - 2],
-                     overwrite_d=1, overwrite_b=1)[-1] != 0:
-                raise np.linalg.LinAlgError("singular spline system")
-    M[[j for lo in bounds[1:-1] for j in (lo - 1, lo)]] = 0.0  # the rows joining two sets
+    diag[a - 2:a] = 1.0  # the join rows: M = 0, coupled to nothing
+    rhs[a - 2:a] = 0.0
+    off[a - 3:a] = 0.0
+    if rhs.size == 1:  # gtsv rejects empty off-diagonals
+        rhs /= diag
+    elif rhs.size > 1:
+        # off is both the sub- and the superdiagonal, so gtsv must not overwrite it
+        if dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)[-1] != 0:
+            raise np.linalg.LinAlgError("singular spline system")
     del diag, off  # freed before the coefficients are formed
     b = M[:-1] * 2.0
     b += M[1:]
@@ -217,35 +226,18 @@ def _spline_pieces(xk: np.ndarray, yk: np.ndarray, bounds: tuple):
     h *= 6.0
     d /= h
     M /= 2.0
-    return xk[:-1], d, M[:-1], slope, yk[:-1]
-
-
-def _splines(xk: np.ndarray, yk: np.ndarray, bounds: tuple, starts: np.ndarray,
-             n: int) -> np.ndarray:
-    """Sum of the natural splines through one or two knot sets
-    ``bounds[j]:bounds[j + 1]`` of one stacked array, each sampled at 0..n-1.
-
-    Point t of set j is point t + j*n of a stacked grid, evaluated in blocks
-    of `_GRID_BLOCK` points, so the temporaries do not grow with n. Point t
-    lies on the piece from its set's last knot <= t (end pieces also take the
-    points beyond the outer knots), so piece k >= 1 starts at the first
-    integer >= knot k, clipped to [0, n], plus j*n. `starts` lists those
-    positions in order (any at the end are dropped); a point's piece is the
-    count of starts up to it, which a block forms from its own starts plus
-    the count of earlier ones. The first set's values go straight into
-    ``out[:n]``; a block's second-set values land just past them and are
-    added in, so a single block is one Horner sweep and one add.
-    """
-    first, d, *coefs = _spline_pieces(xk, yk, bounds)
-    size = n * (len(bounds) - 1)
+    starts = np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp)  # starts[k - 1]: piece k's
+    starts[a - 2:a] = n  # the joining piece and the second set's first
+    starts[a:] += n
+    size = n if a == xk.size else 2 * n
     step = min(size, _GRID_BLOCK) or 1
     out = np.empty(n + min(size - n, step))
     gather = np.empty(step)
     lo = count = 0
     for s in range(0, size, step):
         e = min(s + step, size)
-        hi = starts.size if e == size else starts.searchsorted(e)
-        i = np.bincount(starts[lo:hi] - s, minlength=e - s + 1)[:e - s]
+        hi = starts.searchsorted(e)  # starts at the grid's end begin no point
+        i = np.bincount(starts[lo:hi] - s, minlength=e - s)
         i[0] += count
         np.add.accumulate(i, out=i)
         lo, count = hi, i[-1]
@@ -255,9 +247,9 @@ def _splines(xk: np.ndarray, yk: np.ndarray, bounds: tuple, starts: np.ndarray,
         # Horner in place: g holds each first knot, then each gathered coefficient
         # (mode="clip" lets take write into its out; every index is in range).
         g = gather[:e - s]
-        u -= first.take(i, out=g, mode="clip")
+        u -= xk.take(i, out=g, mode="clip")
         o = d.take(i, out=out[min(s, n):min(s, n) + e - s], mode="clip")
-        for coef in coefs:
+        for coef in (M, slope, yk):
             o *= u
             o += coef.take(i, out=g, mode="clip")
         out[s + k - n:e - n] += o[k:]
@@ -275,10 +267,7 @@ def _envelope_mean(x: np.ndarray, ext: ExtremaSet) -> np.ndarray:
     a, m, r = mx.size + 4, k.size, 2.0 * (n - 1)
     mirrored = np.array([0, 1, a - 2, a - 1, a, a + 1, m - 2, m - 1])
     xk[mirrored] = np.array([0.0, 0.0, r, r, 0.0, 0.0, r, r]) - xk[mirrored]
-    # The pieces' starts, read off the extrema (see _splines): upper piece 1
-    # at 0, one more at each maximum; the last upper piece, the joining piece
-    # and lower pieces a and a + 1 at n; one more at each n + minimum.
-    mean = _splines(xk, yk, (0, a, m), np.concatenate(((0,), mx, (n, n, n, n), n + mn)), n)
+    mean = _splines(xk, yk, a, n)
     mean *= 0.5
     return mean
 

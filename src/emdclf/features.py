@@ -82,14 +82,23 @@ def zero_crossing_rate(samples, sample_rate_hz) -> float:
 
 
 def shannon_entropy(samples, bins: int = ENTROPY_BINS) -> float:
-    """Entropy in bits of the amplitude histogram over [min, max]."""
+    """Entropy in bits of the amplitude histogram over [min, max]. A finite
+    range too narrow (a few ulps) or too wide (its span overflows) for `bins`
+    finite float edges is binned after mapping it onto [0, 1]."""
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 2:
         raise TooShort(f"need >= 2 samples, got {x.size}")
     lo, hi = x.min(), x.max()
     if lo == hi:
         return 0.0
-    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing span raises
+            counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
+    except ValueError:
+        if not np.isfinite((lo, hi)).all():
+            raise
+        x = _unit_scaled(x)[0]
+        counts, _ = np.histogram((x - x.min()) / np.ptp(x), bins=bins, range=(0.0, 1.0))
     p = counts[counts > 0] / x.size
     return float(-(p * np.log2(p)).sum())
 

@@ -1,14 +1,18 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdclf import ALGORITHMS, __version__, emd
 from emdclf.cli import (ManifestEntry, RunConfig, load_manifest, main,
                         run_evaluate, run_extract)
-from emdclf.errors import (BadHeader, BadLabel, EmptyManifest, MissingFile,
-                           NoUsableAudio)
-from emdclf.signal import encode_wav
+from emdclf.errors import (BadHeader, BadLabel, DegenerateSignal, EmptyManifest,
+                           MissingFile, NoUsableAudio)
+from emdclf.features import N_FEATURES, extract_feature_vector
+from emdclf.signal import decode_wav, encode_wav, z_normalize
 from emdclf.synthetic import generate_corpus
 
 RATE = 8000
@@ -180,6 +184,57 @@ class TestRunExtract:
         c1 = run_extract(RunConfig(manifest=manifest, out_dir=tmp_path / "out1"))
         c2 = run_extract(RunConfig(manifest=manifest, out_dir=tmp_path / "out2"))
         assert c1.read_bytes() == c2.read_bytes()
+
+
+@st.composite
+def recordings(draw):
+    """(samples in [-1, 1], WAV format) of 3..3,000 samples: noise, noise
+    quantized to 16-bit PCM steps, a sine with a DC offset, a single spike,
+    step plateaus, a chirp and clipped noise."""
+    n = draw(st.integers(3, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "pcm16_noise", "offset_sine", "spike",
+                                 "steps", "chirp", "clipped"]))
+    t = np.arange(n)
+    if kind == "noise":
+        x = 0.3 * rng.standard_normal(n)
+    elif kind == "pcm16_noise":
+        x = np.rint(rng.standard_normal(n) * rng.choice([1, 4, 100, 3000])) / 32768.0
+    elif kind == "offset_sine":
+        x = 0.4 * np.sin(t * rng.uniform(0.01, 3.0)) + rng.uniform(-0.5, 0.5)
+    elif kind == "spike":
+        x = np.zeros(n)
+        x[rng.integers(n)] = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.9)
+    elif kind == "steps":
+        x = np.repeat(rng.uniform(-0.9, 0.9, n), rng.integers(1, 200, n))[:n]
+    elif kind == "chirp":
+        x = 0.5 * np.sin(np.pi * rng.uniform(0.01, 1.0) * t * t / n)
+    else:
+        x = 0.3 * np.clip(rng.standard_normal(n), -rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
+    return x, draw(st.sampled_from(["pcm16", "float32"]))
+
+
+class TestPerFilePath:
+    """The path `run_extract` takes for one file: decode, z-score, decompose,
+    then 45 features. Only z-scoring a constant recording may raise (and
+    `run_extract` logs that); no step may warn."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(recordings())
+    def test_contracts_hold(self, recording):
+        x, fmt = recording
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sig = z_normalize(decode_wav(encode_wav(x, RATE, fmt), "rec.wav"))
+            except DegenerateSignal:  # a constant recording: run_extract logs it
+                return
+            dec = emd.decompose(sig)
+            vec = extract_feature_vector(dec, sig.sample_rate_hz)
+        peak = np.abs(sig.samples).max()
+        assert np.abs(dec.reconstruction() - sig.samples).max() <= 1e-9 * peak
+        assert all(emd.is_imf(imf) for imf in dec.imfs)
+        assert vec.values.shape == (N_FEATURES,) and np.isfinite(vec.values).all()
 
 
 class TestRunEvaluate:

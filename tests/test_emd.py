@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from emdclf import emd
 from emdclf.errors import InsufficientExtrema, InsufficientKnots, TooShort
@@ -374,6 +375,54 @@ class TestMeanEnvelope:
                             np.linspace(-1, 0, 5)])
         with pytest.raises(InsufficientExtrema):
             emd.mean_envelope(x)
+
+
+class TestOneSolve:
+    """Both envelopes of a mode test come from one tridiagonal solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The order of every `dgtsv` system that `emd` solves."""
+        sizes = []
+
+        def counted(dl, d, du, b, **kwargs):
+            sizes.append(d.size)
+            return dgtsv(dl, d, du, b, **kwargs)
+
+        monkeypatch.setattr(emd, "dgtsv", counted)
+        return sizes
+
+    def test_one_solve_per_mode_test_with_envelopes(self, solves, monkeypatch):
+        checks, check_candidate = [], emd._check_candidate
+
+        def recorded(x):
+            checks.append(check_candidate(x))
+            return checks[-1]
+
+        monkeypatch.setattr(emd, "_check_candidate", recorded)
+        emd.decompose(Signal(np.random.default_rng(23).standard_normal(1500), 1000))
+        emd.is_imf(np.arange(10.0))  # no extrema: no envelope, no solve
+        built = [check for check, envelope in checks if envelope is not None]
+        assert len(solves) == len(built) < len(checks)
+        # each solve spans both knot sets: extrema plus four mirrored knots
+        # each, less the two end knots of the stacked array
+        assert solves == [c.n_maxima + c.n_minima + 6 for c in built]
+
+    @pytest.mark.parametrize("m, calls", [(2, 0), (3, 0), (4, 1), (5, 1), (40, 1)])
+    def test_spline_envelope(self, solves, m, calls):
+        emd.spline_envelope(np.arange(m) * 3.0, np.cos(np.arange(m)), 100)
+        assert len(solves) == calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(spline_cases(integer_knots=False), spline_cases())
+    def test_any_two_knot_sets_give_the_sum_of_their_splines(self, first, second):
+        # each set lies anywhere about a grid of its own 1..300 points, so the
+        # step joining them may go either way and either set may extrapolate
+        (n, x1, y1), (_, x2, y2) = first, second
+        assume(x1.size >= 3 and x2.size >= 3 and x1[-1] != x2[0])
+        expected = emd.spline_envelope(x1, y1, n) + emd.spline_envelope(x2, y2, n)
+        got = emd._splines(np.r_[x1, x2], np.r_[y1, y2], x1.size, n)
+        assert got.tobytes() == expected.tobytes()
 
 
 def blocked(call, block, *args):

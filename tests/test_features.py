@@ -103,6 +103,39 @@ class TestShannonEntropy:
         with pytest.raises(TooShort):
             shannon_entropy([1.0])
 
+    @pytest.mark.parametrize("x, expected", [
+        # ranges of a few ulps, down to one subnormal step: np.histogram
+        # cannot cut them into 64 distinct float edges
+        ([128.0, 128.0 + 1e-13, 128.0], entropy_oracle([128.0, 128.0 + 1e-13, 128.0])),
+        ([1.0, 1.0 + 2.0**-52, 1.0], entropy_oracle([1.0, 1.0 + 2.0**-52, 1.0])),
+        ([0.0, 5e-324, 0.0], entropy_oracle([0.0, 5e-324, 0.0])),
+        # the span overflows: the bins are 0, 32 and 63
+        ([-1e308, 1e308, 0.0], math.log2(3)),
+    ], ids=["ulps_at_128", "one_ulp_at_1", "one_subnormal", "overflowing_span"])
+    def test_ranges_without_finite_float_bins(self, x, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shannon_entropy(x) == pytest.approx(expected, abs=1e-12)
+
+    def test_narrow_range_mode_gets_features(self):
+        x = np.array([128.0, 128.0 + 1e-13, 128.0])
+        vec = extract_feature_vector(fake_decomposition([x], 3), 1000)
+        assert vec.values[6] == pytest.approx(entropy_oracle(x), abs=1e-12)
+
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0, 1.0]],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_range_raises(self, x):
+        with pytest.raises(ValueError, match="not finite"):
+            shannon_entropy(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=80))
+    def test_any_finite_input_gives_bits_in_range(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = shannon_entropy(x)
+        assert math.isfinite(h) and 0.0 <= h <= 6.0
+
 
 class TestHjorth:
     def test_ramp_has_zero_mobility(self):
