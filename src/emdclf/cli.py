@@ -18,6 +18,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 
 from . import __version__
@@ -64,6 +65,9 @@ class RunConfig:
     logreg_lambda: float = TrainConfig.lam
 
     def __post_init__(self):
+        for name in ("folds", "max_imfs", "positive"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if not 1 <= self.max_imfs <= 10:
@@ -214,8 +218,7 @@ def main(argv=None) -> int:
         elif command == "extract":
             print(f"wrote {run_extract(config)}")
         elif command == "evaluate":
-            run_evaluate(config, cache)
-            print((config.out_dir / "summary.txt").read_text(), end="")
+            print(format_summary(run_evaluate(config, cache)), end="")
         elif command == "decompose":
             sig, dec = _decompose_file(wav, config.max_imfs)
             write_decomposition_csv(dump, sig, dec)

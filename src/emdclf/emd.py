@@ -21,7 +21,6 @@ Conventions fixed here (and relied on by the tests):
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +43,10 @@ _GRID_BLOCK = 8192
 
 @dataclass(frozen=True)
 class ExtremaSet:
-    """Sample indices of the local maxima and minima of one signal."""
+    """Sample indices (intp arrays) of the local maxima and minima of one signal."""
 
     maxima_idx: np.ndarray
     minima_idx: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "maxima_idx", np.asarray(self.maxima_idx, dtype=np.intp))
-        object.__setattr__(self, "minima_idx", np.asarray(self.minima_idx, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -113,8 +108,6 @@ def find_local_extrema(samples) -> ExtremaSet:
         up, down = d[:-1] > 0.0, d[1:] < 0.0
         return ExtremaSet(np.flatnonzero(up & down) + 1, np.flatnonzero(~(up | down)) + 1)
     nz = np.flatnonzero(d != 0.0)
-    if nz.size < 2:
-        return ExtremaSet(np.empty(0, np.intp), np.empty(0, np.intp))
     a, b = nz[:-1], nz[1:]
     rising = d[a] > 0.0
     falling = d[b] < 0.0
@@ -312,11 +305,8 @@ def _check_candidate(x: np.ndarray):
     ratio = float("nan")
     if n_max >= 2 and n_min >= 2:
         envelope = _envelope_mean(x, ext)
-        peak = np.abs(x).max()
-        ratio = float(np.abs(envelope).max() / peak) if peak > 0 else float("inf")
-    passed = (abs(crossings - (n_max + n_min)) <= 1
-              and n_max >= 2 and n_min >= 2
-              and ratio <= SYMMETRY_TOL)
+        ratio = float(np.abs(envelope).max() / np.abs(x).max())  # extrema make the peak > 0
+    passed = abs(crossings - (n_max + n_min)) <= 1 and ratio <= SYMMETRY_TOL  # NaN fails
     return ImfCheck(passed, crossings, n_max, n_min, ratio), envelope
 
 
@@ -388,12 +378,10 @@ def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposit
                             source_id=signal.source_id)
 
 
-def write_decomposition_csv(path_or_file, signal: Signal, dec: ImfDecomposition) -> None:
+def write_decomposition_csv(path, signal: Signal, dec: ImfDecomposition) -> None:
     """Debug dump: columns t, input, imf1..imf5, residual (empty for absent modes).
 
-    Takes a path or an open text handle and writes the rows into it in
-    blocks of ``_DUMP_BLOCK_ROWS``, each value as ``%.17g``; a path is opened
-    with ``newline=""`` so every platform writes LF line endings.
+    Writes `path` in ``_DUMP_BLOCK_ROWS``-row blocks, each value as ``%.17g``, with LF line ends.
     """
     n_cols = max(DEFAULT_MAX_IMFS, len(dec.imfs))
     header = "t,input," + ",".join(f"imf{i + 1}" for i in range(n_cols)) + ",residual"
@@ -401,8 +389,7 @@ def write_decomposition_csv(path_or_file, signal: Signal, dec: ImfDecomposition)
     table = np.column_stack([t, signal.samples, *dec.imfs, dec.residual])
     cells = ["%.17g"] * (2 + len(dec.imfs)) + [""] * (n_cols - len(dec.imfs)) + ["%.17g"]
     row_fmt = ",".join(cells) + "\n"
-    is_handle = hasattr(path_or_file, "write")
-    with nullcontext(path_or_file) if is_handle else open(path_or_file, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _DUMP_BLOCK_ROWS):
             block = table[start:start + _DUMP_BLOCK_ROWS]

@@ -89,7 +89,8 @@ class TestTrainConfig:
             TrainConfig("perceptron")
 
     @pytest.mark.parametrize("kwargs", [dict(k=0), dict(c=0.0), dict(lam=-1.0),
-                                        dict(n_trees=0), dict(seed=-1)])
+                                        dict(n_trees=0), dict(seed=-1), dict(k=2.5),
+                                        dict(n_trees=2.5), dict(seed=1.5), dict(k=3.0)])
     def test_invalid_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig("knn", **kwargs)

@@ -300,6 +300,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("folds", 2.5), ("max_imfs", 2.5), ("positive", 1.0), ("seed", 1.5), ("knn_k", 2.5),
+        ("n_trees", 2.5),
+    ])
+    def test_integer_settings_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RunConfig(**{field: value})
+        assert getattr(RunConfig(**{field: np.int64(int(value))}), field) == int(value)
+
 
 @pytest.fixture(scope="module")
 def small_cache(tmp_path_factory):
@@ -350,10 +359,12 @@ class TestMainEntry:
         manifest = small_corpus(tmp_path)
         out = tmp_path / "run"
         assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 0
+        capsys.readouterr()
         assert main(["evaluate", "--cache", str(out / "features.csv"),
                      "--out", str(out), "--folds", "2", "--seed", "1"]) == 0
         text = capsys.readouterr().out
         assert "bagged_trees" in text
+        assert text == (out / "summary.txt").read_text()
 
     def test_decompose_command(self, tmp_path):
         t = np.arange(2000) / RATE
