@@ -51,10 +51,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 < self.c < np.inf:  # NaN fails
+            raise ValueError("c must be > 0 and finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be >= 0 and finite")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.seed < 0:

@@ -122,23 +122,24 @@ def run_extract(config: RunConfig) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     max_imfs = min(config.max_imfs, N_BLOCKS)  # features read no later mode
-    vectors, labels, failures = [], [], []
+    rows, labels, ids, failures = [], [], [], []
     for entry in entries:
         try:
             sig, dec = _decompose_file(entry.path, max_imfs)
-            vectors.append(extract_feature_vector(dec, sig.sample_rate_hz))
+            rows.append(extract_feature_vector(dec, sig.sample_rate_hz).values)
             labels.append(entry.label)
+            ids.append(entry.path.name)
         except (Error, ValueError, OSError) as exc:
             failures.append((entry.path.name, f"{type(exc).__name__}: {exc}"))
 
     errors_path = config.out_dir / "errors.csv"
     write_csv(errors_path, ["path", "error"], failures)
 
-    if not vectors:
+    if not rows:
         raise NoUsableAudio(f"all {len(entries)} files failed; see {errors_path}")
 
     cache_path = config.out_dir / "features.csv"
-    write_feature_cache(cache_path, LabeledDataset.from_feature_vectors(vectors, labels))
+    write_feature_cache(cache_path, LabeledDataset(rows, labels, ids))
     return cache_path
 
 

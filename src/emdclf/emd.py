@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import InsufficientExtrema, InsufficientKnots, TooShort
+from .errors import InsufficientExtrema, TooShort
 from .signal import Signal
 
 #: envelope-mean symmetry bound, relative to peak amplitude
@@ -70,7 +70,6 @@ class ImfDecomposition:
     imfs: list[np.ndarray]
     residual: np.ndarray
     sift_counts: list[int] = field(default_factory=list)
-    source_id: str = ""
 
     def reconstruction(self) -> np.ndarray:
         out = self.residual.copy()
@@ -156,7 +155,7 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     xk = np.asarray(knot_idx, dtype=np.float64)
     yk = np.asarray(knot_val, dtype=np.float64)
     if xk.size < 2:
-        raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
+        raise TooShort(f"need >= 2 knots, got {xk.size}")
     if xk.size != yk.size:
         raise ValueError("knot index/value lengths differ")
     if n < 0:
@@ -269,7 +268,7 @@ def mean_envelope(samples) -> np.ndarray:
     """Average of the maxima spline and the minima spline.
 
     Needs at least 2 maxima and 2 minima; raises InsufficientExtrema
-    otherwise.
+    otherwise, and ValueError when a sample is NaN or infinite.
     """
     check, envelope = _check_candidate(np.asarray(samples, dtype=np.float64))
     if envelope is None:
@@ -296,7 +295,8 @@ def _check_candidate(x: np.ndarray):
     """Mode test plus the envelope mean it computed (None when unavailable).
 
     The only place that finds extrema, counts zero crossings and builds the
-    envelopes; every other caller reads its result.
+    envelopes; every other caller reads its result. A non-finite knot fails
+    the spline, and any other non-finite sample fails the peak's check.
     """
     ext = find_local_extrema(x)
     n_max, n_min = ext.maxima_idx.size, ext.minima_idx.size
@@ -305,7 +305,10 @@ def _check_candidate(x: np.ndarray):
     ratio = float("nan")
     if n_max >= 2 and n_min >= 2:
         envelope = _envelope_mean(x, ext)
-        ratio = float(np.abs(envelope).max() / np.abs(x).max())  # extrema make the peak > 0
+        peak = np.abs(x).max()  # > 0, as there are extrema
+        if not peak < np.inf:  # also true for a NaN
+            raise ValueError("samples must be finite")
+        ratio = float(np.abs(envelope).max() / peak)
     passed = abs(crossings - (n_max + n_min)) <= 1 and ratio <= SYMMETRY_TOL  # NaN fails
     return ImfCheck(passed, crossings, n_max, n_min, ratio), envelope
 
@@ -316,7 +319,8 @@ def is_imf(samples) -> ImfCheck:
     True iff (a) zero crossings and extrema counts differ by at most one and
     (b) there are >= 2 maxima and >= 2 minima whose envelope mean stays
     within SYMMETRY_TOL of the peak amplitude. The returned object is truthy
-    exactly when the test passes and carries the diagnostic counts.
+    exactly when the test passes and carries the diagnostic counts. With
+    both envelopes, a NaN or infinite sample raises ValueError.
     """
     return _check_candidate(np.asarray(samples, dtype=np.float64))[0]
 
@@ -327,8 +331,8 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
     Parameters
     ----------
     samples : array_like
-        Sequence with >= 2 maxima and >= 2 minima (InsufficientExtrema
-        otherwise).
+        Finite sequence with >= 2 maxima and >= 2 minima (InsufficientExtrema
+        otherwise; ValueError for a NaN or infinite sample).
     max_iters : int
         Cap on subtraction steps.
 
@@ -374,8 +378,7 @@ def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposit
         imfs.append(h)
         counts.append(iters)
         residual = residual - h
-    return ImfDecomposition(imfs=imfs, residual=residual, sift_counts=counts,
-                            source_id=signal.source_id)
+    return ImfDecomposition(imfs=imfs, residual=residual, sift_counts=counts)
 
 
 def write_decomposition_csv(path, signal: Signal, dec: ImfDecomposition) -> None:

@@ -31,11 +31,7 @@ class DegenerateSignal(Error):
 # --- decomposition ----------------------------------------------------------
 
 class TooShort(Error):
-    """Sequence is shorter than the operation requires."""
-
-
-class InsufficientKnots(Error):
-    """Fewer than 2 spline knots."""
+    """Sequence (or spline knot set) is shorter than the operation requires."""
 
 
 class InsufficientExtrema(Error):
@@ -45,11 +41,11 @@ class InsufficientExtrema(Error):
 # --- classifiers ------------------------------------------------------------
 
 class SingleClassData(Error):
-    """Training data does not contain at least 2 rows of each class."""
+    """Training data lacks 2 rows of each class, or ROC labels lack a class."""
 
 
 class DimensionMismatch(Error):
-    """Feature row length differs from what the model was trained on."""
+    """Feature row length differs from the model's, or parallel sequences differ."""
 
 
 class NonFiniteFeature(Error):
@@ -62,20 +58,8 @@ class TooFewPerClass(Error):
     """A class has fewer members than the requested fold count."""
 
 
-class LengthMismatch(Error):
-    """Parallel label sequences differ in length."""
-
-
 class Empty(Error):
-    """No elements to evaluate."""
-
-
-class EmptyMatrix(Error):
-    """Confusion matrix with zero total count."""
-
-
-class SingleClassLabels(Error):
-    """ROC needs both classes present."""
+    """No elements to evaluate, or a confusion matrix with zero total count."""
 
 
 # --- batch front-end --------------------------------------------------------

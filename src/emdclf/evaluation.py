@@ -13,8 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import classifiers
-from .errors import (Empty, EmptyMatrix, LengthMismatch, SingleClassLabels,
-                     TooFewPerClass)
+from .errors import DimensionMismatch, Empty, SingleClassData, TooFewPerClass
 from .features import LabeledDataset, write_csv
 
 
@@ -85,7 +84,7 @@ def confusion(y_true, y_pred, positive=1) -> ConfusionMatrix:
     t = np.asarray(y_true)
     p = np.asarray(y_pred)
     if t.shape != p.shape:
-        raise LengthMismatch(f"{t.shape} vs {p.shape}")
+        raise DimensionMismatch(f"{t.shape} vs {p.shape}")
     if t.size == 0:
         raise Empty("no elements")
     pos_t = t == positive
@@ -102,7 +101,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     """The five standard ratios as percentages; 0 on degenerate denominators."""
     total = cm.total
     if total < 1:
-        raise EmptyMatrix("confusion matrix is empty")
+        raise Empty("confusion matrix is empty")
 
     def ratio(num, den):
         return num / den if den > 0 else 0.0
@@ -125,13 +124,13 @@ def roc(scores, y_true) -> RocCurve:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(y_true)
     if s.shape != y.shape:
-        raise LengthMismatch(f"{s.shape} vs {y.shape}")
+        raise DimensionMismatch(f"{s.shape} vs {y.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     n_pos = int(np.sum(y == 1))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassLabels(f"{n_pos} positive / {n_neg} negative")
+        raise SingleClassData(f"{n_pos} positive / {n_neg} negative")
 
     order = np.argsort(-s, kind="stable")
     ss = s[order]

@@ -16,22 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import ImfDecomposition, count_zero_crossings
+from .emd import DEFAULT_MAX_IMFS, ImfDecomposition, count_zero_crossings
 from .errors import CacheFormatError, TooShort
 
 FEATURE_NAMES = ("mean_abs", "std", "rms", "skewness", "kurtosis",
                  "zcr_hz", "entropy_bits", "hjorth_mobility", "hjorth_complexity")
-N_BLOCKS = 5
+N_BLOCKS = DEFAULT_MAX_IMFS  # one block per mode of the default decomposition
 N_FEATURES = N_BLOCKS * len(FEATURE_NAMES)  # 45
 ENTROPY_BINS = 64
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """One 45-dimensional row plus the id of the file it came from."""
+    """One row of exactly 45 finite feature values."""
 
     values: np.ndarray
-    source_id: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -64,11 +63,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.labels.size
-
-    @classmethod
-    def from_feature_vectors(cls, vectors, labels) -> "LabeledDataset":
-        rows = np.vstack([v.values for v in vectors]) if vectors else np.empty((0, N_FEATURES))
-        return cls(rows, np.asarray(labels), [v.source_id for v in vectors])
 
 
 def zero_crossing_rate(samples, sample_rate_hz) -> float:
@@ -172,7 +166,7 @@ def extract_feature_vector(dec: ImfDecomposition, sample_rate_hz) -> FeatureVect
     values = np.zeros(N_FEATURES)
     for b in range(min(N_BLOCKS, len(dec.imfs))):
         values[b * width:(b + 1) * width] = _block(dec.imfs[b], sample_rate_hz)
-    return FeatureVector(values=values, source_id=dec.source_id)
+    return FeatureVector(values)
 
 
 # --- CSV tables ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import solve_banded
 
-from emdclf.errors import InsufficientKnots
+from emdclf.errors import TooShort
 from emdclf.features import LabeledDataset
 
 # CI selects this with --hypothesis-profile=ci: a failure prints the blob
@@ -33,7 +33,7 @@ def _parent_spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     xk = np.asarray(knot_idx, dtype=np.float64)
     yk = np.asarray(knot_val, dtype=np.float64)
     if xk.size < 2:
-        raise InsufficientKnots(f"need >= 2 knots, got {xk.size}")
+        raise TooShort(f"need >= 2 knots, got {xk.size}")
     if xk.size != yk.size:
         raise ValueError("knot index/value lengths differ")
     if np.any(np.diff(xk) <= 0):

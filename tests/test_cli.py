@@ -129,7 +129,11 @@ class TestRunExtract:
         m.write_text("path,label\na.wav,0\nzero_rate.wav,1\nc.wav,1\n")
         out = tmp_path / "out"
         assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 0
-        assert len((out / "features.csv").read_text().splitlines()) - 1 == 2
+        cache_rows = [row.split(",") for row in (out / "features.csv").read_text().splitlines()]
+        assert len(cache_rows) - 1 == 2
+        # each surviving row keeps its own file's name and label
+        assert [row[0] for row in cache_rows[1:]] == ["a.wav", "c.wav"]
+        assert [row[-1] for row in cache_rows[1:]] == ["0", "1"]
         sidecar_rows = (out / "errors.csv").read_text().splitlines()
         assert sidecar_rows[1:] == ["zero_rate.wav,MalformedWav: sample rate of 0 Hz"]
 
@@ -342,7 +346,8 @@ class TestEvaluateFlags:
         # the flags change the report, so a dropped or mis-mapped flag shows
         assert via_main != self.run_main(small_cache, tmp_path / "defaults")
 
-    @pytest.mark.parametrize("flag, value", [("--knn-k", "0"), ("--seed", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--knn-k", "0"), ("--seed", "-1"),
+                                             ("--svm-c", "nan"), ("--logreg-lambda", "inf")])
     def test_bad_value_exits_before_output(self, small_cache, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
         code = main(["evaluate", "--cache", str(small_cache), "--out", str(out), flag, value])

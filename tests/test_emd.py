@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
 
 from emdclf import emd
-from emdclf.errors import InsufficientExtrema, InsufficientKnots, TooShort
+from emdclf.errors import InsufficientExtrema, TooShort
 from emdclf.signal import Signal
 from emdclf.synthetic import tone_burst
 
@@ -270,7 +270,7 @@ class TestSplineEnvelope:
         assert np.abs(env[xk] - yk).max() <= 1e-10
 
     def test_insufficient_knots(self):
-        with pytest.raises(InsufficientKnots):
+        with pytest.raises(TooShort):
             emd.spline_envelope([3], [1.0], 10)
 
     def test_unsorted_knots_rejected(self):
@@ -387,6 +387,18 @@ class TestMeanEnvelope:
                 envelope_mean_from(emd.spline_envelope, x, emd.find_local_extrema(x))
             for call in (emd.mean_envelope, emd.is_imf, emd.sift):
                 with pytest.raises(ValueError, match="infs or NaNs"):
+                    call(x)
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_endpoint_raises_without_warning(self, index, value):
+        # an endpoint is never a knot, so only the peak amplitude sees it
+        x = np.sin(0.7 * np.arange(60))
+        x[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (emd.mean_envelope, emd.is_imf, emd.sift):
+                with pytest.raises(ValueError, match="samples must be finite"):
                     call(x)
 
     def test_single_extremum_pair_insufficient(self):

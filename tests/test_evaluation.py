@@ -3,8 +3,8 @@ import pytest
 
 from emdclf import classifiers
 from emdclf.classifiers import TrainConfig, fit, predict, score
-from emdclf.errors import (Empty, EmptyMatrix, LengthMismatch,
-                           SingleClassLabels, TooFewPerClass)
+from emdclf.errors import (DimensionMismatch, Empty, SingleClassData,
+                           TooFewPerClass)
 from emdclf.evaluation import (ConfusionMatrix, confusion, cross_validate,
                                format_summary, metrics, rank_rows, roc,
                                stratified_kfold, write_metrics_csv, write_roc_csv)
@@ -100,7 +100,7 @@ class TestConfusion:
         assert (cm.tp, cm.fn, cm.tn, cm.fp) == (tp, fn, tn, fp)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             confusion([1, 0], [1])
 
     def test_empty(self):
@@ -139,7 +139,7 @@ class TestMetrics:
                     2 * rep.pre * rep.rec / (rep.pre + rep.rec), abs=1e-12)
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(Empty):
             metrics(ConfusionMatrix(0, 0, 0, 0))
 
 
@@ -195,7 +195,7 @@ class TestRoc:
                                                          abs=1e-12)
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassLabels):
+        with pytest.raises(SingleClassData):
             roc([0.1, 0.9], [1, 1])
 
 

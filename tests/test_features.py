@@ -64,7 +64,7 @@ def moment_inputs():
 
 
 def fake_decomposition(imfs, n):
-    return ImfDecomposition(imfs=list(imfs), residual=np.zeros(n), source_id="fake")
+    return ImfDecomposition(imfs=list(imfs), residual=np.zeros(n))
 
 
 class TestZeroCrossingRate:
@@ -164,7 +164,6 @@ class TestExtractFeatureVector:
         vec = extract_feature_vector(fake_decomposition([], 64), 1000)
         assert vec.values.shape == (N_FEATURES,)
         assert np.array_equal(vec.values, np.zeros(N_FEATURES))
-        assert vec.source_id == "fake"
 
     def test_three_imfs_pad_blocks_four_five(self):
         rng = np.random.default_rng(4)
@@ -373,12 +372,10 @@ class TestFeatureVectorType:
 class TestFeatureCache:
     def make_dataset(self, n=10):
         rng = np.random.default_rng(10)
-        vectors = [FeatureVector(rng.standard_normal(N_FEATURES) * 10.0 ** rng.integers(-8, 8),
-                                 source_id=f"file_{i}.wav")
-                   for i in range(n)]
+        rows = [rng.standard_normal(N_FEATURES) * 10.0 ** rng.integers(-8, 8) for _ in range(n)]
         labels = rng.integers(0, 2, size=n)
         labels[:2] = [0, 1]
-        return LabeledDataset.from_feature_vectors(vectors, labels)
+        return LabeledDataset(rows, labels, [f"file_{i}.wav" for i in range(n)])
 
     def test_header(self, tmp_path):
         path = tmp_path / "cache.csv"
