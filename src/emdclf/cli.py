@@ -8,8 +8,9 @@ evaluate   --cache F --out DIR [--folds 5] [--seed 42] [--positive 1]
 decompose  --wav F --out CSV [--max-imfs 5]
 version
 
-Exit codes: 0 ok, 2 missing input file or manifest/config problem,
-3 audio/extraction failure, 4 evaluation data problem, 1 anything unexpected.
+Exit codes: 0 ok, 2 missing input file, manifest/config problem or a path
+that cannot be read or written, 3 audio/extraction failure, 4 evaluation data
+problem, 1 anything unexpected. Every failure prints `error: <Class>: <message>`.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .features import (N_BLOCKS, LabeledDataset, extract_feature_vector,
                        write_feature_cache)
 from .signal import decode_wav, z_normalize
 
+_FAILURES = (Error, ValueError, OSError)
 _EXIT_CODES = (
-    ((MissingFile, BadHeader, BadLabel, EmptyManifest), 2),
-    ((MalformedWav, UnsupportedEncoding, EmptyAudio, DegenerateSignal,
-      NoUsableAudio), 3),
+    ((MissingFile, BadHeader, BadLabel, EmptyManifest, ValueError, OSError), 2),
+    ((MalformedWav, UnsupportedEncoding, EmptyAudio, DegenerateSignal, NoUsableAudio), 3),
     ((SingleClassData, TooFewPerClass, CacheFormatError), 4),
 )
 
@@ -47,6 +48,7 @@ _EXIT_CODES = (
 class ManifestEntry:
     path: Path
     label: int
+    name: str  # the manifest's path cell, as written
 
 
 @dataclass
@@ -65,6 +67,9 @@ class RunConfig:
     logreg_lambda: float = TrainConfig.lam
 
     def __post_init__(self):
+        self.out_dir = Path(self.out_dir)
+        if self.manifest is not None:
+            self.manifest = Path(self.manifest)
         for name in ("folds", "max_imfs", "positive"):
             if not isinstance(getattr(self, name), Integral):
                 raise ValueError(f"{name} must be an integer")
@@ -95,20 +100,23 @@ def _existing(path) -> Path:
 def load_manifest(path) -> list[ManifestEntry]:
     """Read `path,label` rows; relative paths resolve against the manifest dir."""
     path = _existing(path)
-    entries = []
+    entries, first_line = [], {}
     for line_no, (raw_path, raw_label) in read_labeled_csv(
             path, ["path", "label"], BadHeader, BadLabel):
         if not raw_path:
             raise BadHeader(f"line {line_no}: empty path")
-        entries.append(ManifestEntry(path.parent / raw_path, int(raw_label)))
+        entries.append(ManifestEntry(path.parent / raw_path, int(raw_label), raw_path))
+        seen = first_line.setdefault(entries[-1].path.resolve(), line_no)
+        if seen != line_no:
+            raise BadHeader(f"line {line_no}: {raw_path} names the same file as line {seen}")
     if not entries:
         raise EmptyManifest(str(path))
     return entries
 
 
-def _decompose_file(path: Path, max_imfs: int):
-    """Decode -> z-normalize -> decompose one WAV; returns (signal, decomposition)."""
-    sig = z_normalize(decode_wav(_existing(path).read_bytes(), source_id=path.name))
+def _decompose_file(path, max_imfs: int, name: str):
+    """Decode -> z-normalize -> decompose one WAV, named `name`; returns (signal, dec)."""
+    sig = z_normalize(decode_wav(_existing(path).read_bytes(), source_id=name))
     return sig, decompose(sig, max_imfs=max_imfs)
 
 
@@ -125,12 +133,12 @@ def run_extract(config: RunConfig) -> Path:
     rows, labels, ids, failures = [], [], [], []
     for entry in entries:
         try:
-            sig, dec = _decompose_file(entry.path, max_imfs)
+            sig, dec = _decompose_file(entry.path, max_imfs, entry.name)
             rows.append(extract_feature_vector(dec, sig.sample_rate_hz).values)
             labels.append(entry.label)
-            ids.append(entry.path.name)
-        except (Error, ValueError, OSError) as exc:
-            failures.append((entry.path.name, f"{type(exc).__name__}: {exc}"))
+            ids.append(entry.name)
+        except _FAILURES as exc:
+            failures.append((entry.name, f"{type(exc).__name__}: {exc}"))
 
     errors_path = config.out_dir / "errors.csv"
     write_csv(errors_path, ["path", "error"], failures)
@@ -148,23 +156,21 @@ def run_evaluate(config: RunConfig, cache_path) -> list:
 
     Writes metrics.csv, roc_<algorithm>.csv x5, confusion.txt and summary.txt
     into the output directory; returns the ranked (name, metrics, auc) rows.
-    A missing cache raises MissingFile before anything is read or created.
+    Nothing is created unless every algorithm's cross-validation completes.
     """
     data = read_feature_cache(_existing(cache_path))
+    results = {tc.algorithm: cross_validate(tc, data, k=config.folds, seed=config.seed,
+                                            positive=config.positive)
+               for tc in config.train_configs()}
+
     config.out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows, blocks = [], []
-    for train_config in config.train_configs():
-        result = cross_validate(train_config, data, k=config.folds,
-                                seed=config.seed, positive=config.positive)
-        rows.append((train_config.algorithm, result.metrics, result.roc.auc))
-        blocks.append(format_confusion_block(train_config.algorithm, result.confusion))
-        write_roc_csv(config.out_dir / f"roc_{train_config.algorithm}.csv", result.roc)
-
-    ranked = rank_rows(rows)
+    for name, result in results.items():
+        write_roc_csv(config.out_dir / f"roc_{name}.csv", result.roc)
+    ranked = rank_rows([(name, r.metrics, r.roc.auc) for name, r in results.items()])
     write_metrics_csv(config.out_dir / "metrics.csv", ranked)
-    (config.out_dir / "confusion.txt").write_text("\n".join(blocks))
-    (config.out_dir / "summary.txt").write_text(format_summary(rows))
+    (config.out_dir / "confusion.txt").write_text(
+        "\n".join(format_confusion_block(name, r.confusion) for name, r in results.items()))
+    (config.out_dir / "summary.txt").write_text(format_summary(ranked))
     return ranked
 
 
@@ -176,13 +182,13 @@ def _build_parser() -> argparse.ArgumentParser:
     command = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     p = command("extract", help="decode WAVs and write the feature cache")
-    p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True, type=Path)
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     p.add_argument("--max-imfs", type=int)
 
     p = command("evaluate", help="cross-validate the five classifiers")
     p.add_argument("--cache", required=True, type=Path)
-    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True, type=Path)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--positive", metavar="{0,1}", type=int)
@@ -192,19 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logreg-lambda", type=float)
 
     p = command("decompose", help="dump one decomposition as CSV")
-    p.add_argument("--wav", required=True, type=Path)
+    p.add_argument("--wav", required=True)
     p.add_argument("--out", dest="dump", metavar="OUT", required=True, type=Path)
     p.add_argument("--max-imfs", type=int)
 
     command("version", help="print the toolkit version")
     return parser
-
-
-def _exit_code(exc: Exception) -> int:
-    for types, code in _EXIT_CODES:
-        if isinstance(exc, types):
-            return code
-    return 1
 
 
 def main(argv=None) -> int:
@@ -221,15 +220,12 @@ def main(argv=None) -> int:
         elif command == "evaluate":
             print(format_summary(run_evaluate(config, cache)), end="")
         elif command == "decompose":
-            sig, dec = _decompose_file(wav, config.max_imfs)
+            sig, dec = _decompose_file(wav, config.max_imfs, wav)
             write_decomposition_csv(dump, sig, dec)
             print(f"wrote {dump} ({len(dec.imfs)} modes)")
-    except Error as exc:
+    except _FAILURES as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), 1)
     return 0
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 from pathlib import Path
 
@@ -64,7 +65,7 @@ class TestLoadManifest:
         m = tmp_path / "lists" / "manifest.csv"
         m.parent.mkdir()
         m.write_text(f"path,label\n{wav},1\n")
-        assert load_manifest(m) == [ManifestEntry(wav, 1)]
+        assert load_manifest(m) == [ManifestEntry(wav, 1, str(wav))]
 
     def test_empty_file(self, tmp_path):
         m = tmp_path / "manifest.csv"
@@ -83,6 +84,20 @@ class TestLoadManifest:
         m.write_text("path,label\n,0\nb.wav,positive\n")
         with pytest.raises(BadHeader, match="line 2: empty path"):
             load_manifest(m)
+
+    @pytest.mark.parametrize("rows, line, cell, first", [
+        ("tone_000.wav,1\nnoise_000.wav,0\ntone_000.wav,1\n", 4, "tone_000.wav", 2),
+        ("noise_000.wav,0\ntone_000.wav,1\n./noise_000.wav,0\n", 4, "./noise_000.wav", 2),
+    ], ids=["same_cell", "dot_slash"])
+    def test_repeated_file_rejected(self, tmp_path, rows, line, cell, first):
+        manifest = small_corpus(tmp_path, n_per_class=1)
+        manifest.write_text("path,label\n" + rows)
+        message = f"line {line}: {cell} names the same file as line {first}"
+        with pytest.raises(BadHeader, match=re.escape(message)):
+            load_manifest(manifest)
+        out = tmp_path / "out"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestRunExtract:
@@ -188,6 +203,21 @@ class TestRunExtract:
         c1 = run_extract(RunConfig(manifest=manifest, out_dir=tmp_path / "out1"))
         c2 = run_extract(RunConfig(manifest=manifest, out_dir=tmp_path / "out2"))
         assert c1.read_bytes() == c2.read_bytes()
+
+    def test_rows_named_by_manifest_cell(self, tmp_path):
+        wav = encode_wav(np.sin(np.linspace(0, 20, 400)), RATE)
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "x.wav").write_bytes(wav)
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\na/x.wav,1\nb/x.wav,0\na/y.wav,1\n")
+        out = tmp_path / "out"
+        assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 0
+        cache_rows = (out / "features.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in cache_rows] == ["a/x.wav", "b/x.wav"]
+        sidecar_rows = (out / "errors.csv").read_text().splitlines()[1:]
+        assert len(sidecar_rows) == 1
+        assert sidecar_rows[0].startswith("a/y.wav,MissingFile: ")
 
 
 @st.composite
@@ -312,6 +342,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             RunConfig(**{field: value})
         assert getattr(RunConfig(**{field: np.int64(int(value))}), field) == int(value)
+
+    def test_string_paths_accepted(self, tmp_path):
+        manifest = small_corpus(tmp_path, n_per_class=4)
+        config = RunConfig(manifest=str(manifest), out_dir=str(tmp_path / "out"), folds=2)
+        ranked = run_evaluate(config, run_extract(config))
+        assert len(ranked) == 5
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            ["errors.csv", "features.csv", *REPORT_FILES])
 
 
 @pytest.fixture(scope="module")
@@ -443,3 +481,34 @@ class TestMainEntry:
     def test_bad_missing_wav_decompose_exit_code(self, tmp_path, capsys):
         assert main(["decompose", "--wav", str(tmp_path / "no.wav"),
                      "--out", str(tmp_path / "d.csv")]) == 2
+
+    def test_evaluate_failure_writes_nothing(self, small_cache, tmp_path, capsys):
+        # two class-0 rows and --folds 2 leave one class-0 row per training
+        # fold: knn fits, LDA's pooled covariance cannot
+        lines = small_cache.read_text().splitlines()
+        kept = [lines[0]] + [ln for ln in lines[1:] if ln.endswith(",0")][:2] + [
+            ln for ln in lines[1:] if ln.endswith(",1")]
+        cache = tmp_path / "features.csv"
+        cache.write_text("\n".join(kept) + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", "--cache", str(cache), "--out", str(out), "--folds", "2"]) == 4
+        assert not out.exists()
+        assert "SingleClassData" in capsys.readouterr().err
+
+    def test_unwritable_dump_exit_code(self, tmp_path, capsys):
+        wav = tmp_path / "tone.wav"
+        wav.write_bytes(encode_wav(np.sin(np.linspace(0, 20, 400)), RATE))
+        assert main(["decompose", "--wav", str(wav),
+                     "--out", str(tmp_path / "nodir" / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ")
+        assert "Traceback" not in err
+
+    def test_out_naming_a_file_exit_code(self, small_cache, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        manifest = small_corpus(tmp_path, n_per_class=2)
+        assert main(["extract", "--manifest", str(manifest), "--out", str(taken)]) == 2
+        assert main(["evaluate", "--cache", str(small_cache), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.count("error: FileExistsError: ") == 2
+        assert taken.read_text() == ""
