@@ -61,7 +61,7 @@ class TrainConfig:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     """Fitted parameters of one algorithm; immutable once built."""
 

@@ -25,10 +25,10 @@ from pathlib import Path
 from . import __version__
 from .classifiers import ALGORITHMS, TrainConfig
 from .emd import DEFAULT_MAX_IMFS, decompose, write_decomposition_csv
-from .errors import (BadHeader, BadLabel, CacheFormatError, DegenerateSignal,
-                     EmptyAudio, EmptyManifest, Error, MalformedWav,
-                     MissingFile, NoUsableAudio, SingleClassData,
-                     TooFewPerClass, UnsupportedEncoding)
+from .errors import (CacheFormatError, DegenerateSignal, EmptyAudio, Error,
+                     MalformedWav, ManifestFormatError, MissingFile,
+                     NoUsableAudio, SingleClassData, TooFewPerClass,
+                     UnsupportedEncoding)
 from .evaluation import (cross_validate, format_confusion_block, format_summary,
                          rank_rows, write_metrics_csv, write_roc_csv)
 from .features import (N_BLOCKS, LabeledDataset, extract_feature_vector,
@@ -38,7 +38,7 @@ from .signal import decode_wav, z_normalize
 
 _FAILURES = (Error, ValueError, OSError)
 _EXIT_CODES = (
-    ((MissingFile, BadHeader, BadLabel, EmptyManifest, ValueError, OSError), 2),
+    ((MissingFile, ManifestFormatError, ValueError, OSError), 2),
     ((MalformedWav, UnsupportedEncoding, EmptyAudio, DegenerateSignal, NoUsableAudio), 3),
     ((SingleClassData, TooFewPerClass, CacheFormatError), 4),
 )
@@ -101,16 +101,14 @@ def load_manifest(path) -> list[ManifestEntry]:
     """Read `path,label` rows; relative paths resolve against the manifest dir."""
     path = _existing(path)
     entries, first_line = [], {}
-    for line_no, (raw_path, raw_label) in read_labeled_csv(
-            path, ["path", "label"], BadHeader, BadLabel):
-        if not raw_path:
-            raise BadHeader(f"line {line_no}: empty path")
-        entries.append(ManifestEntry(path.parent / raw_path, int(raw_label), raw_path))
+    for line_no, (cell, label) in read_labeled_csv(path, ["path", "label"], ManifestFormatError):
+        if not cell:
+            raise ManifestFormatError(f"line {line_no}: empty path")
+        entries.append(ManifestEntry(path.parent / cell, int(label), cell))
         seen = first_line.setdefault(entries[-1].path.resolve(), line_no)
         if seen != line_no:
-            raise BadHeader(f"line {line_no}: {raw_path} names the same file as line {seen}")
-    if not entries:
-        raise EmptyManifest(str(path))
+            raise ManifestFormatError(
+                f"line {line_no}: {cell} names the same file as line {seen}")
     return entries
 
 
@@ -123,8 +121,8 @@ def _decompose_file(path, max_imfs: int, name: str):
 def run_extract(config: RunConfig) -> Path:
     """Decode -> z-normalize -> decompose -> features for every manifest row.
 
-    Per-file failures go to errors.csv and the run continues; raises
-    NoUsableAudio only when nothing succeeds. Returns the cache path.
+    Per-file failures go to errors.csv and the run continues; if every file
+    fails, an old features.csv is deleted and NoUsableAudio raised. Returns the cache path.
     """
     entries = load_manifest(config.manifest)
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,10 +141,10 @@ def run_extract(config: RunConfig) -> Path:
     errors_path = config.out_dir / "errors.csv"
     write_csv(errors_path, ["path", "error"], failures)
 
-    if not rows:
-        raise NoUsableAudio(f"all {len(entries)} files failed; see {errors_path}")
-
     cache_path = config.out_dir / "features.csv"
+    if not rows:
+        cache_path.unlink(missing_ok=True)
+        raise NoUsableAudio(f"all {len(entries)} files failed; see {errors_path}")
     write_feature_cache(cache_path, LabeledDataset(rows, labels, ids))
     return cache_path
 

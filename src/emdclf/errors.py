@@ -68,16 +68,9 @@ class MissingFile(Error):
     """Referenced file does not exist."""
 
 
-class BadHeader(Error):
-    """CSV header differs from the documented format."""
-
-
-class BadLabel(Error):
-    """Label field is not 0 or 1."""
-
-
-class EmptyManifest(Error):
-    """Manifest has a header but no data rows."""
+class ManifestFormatError(Error):
+    """Manifest is not `path,label` CSV: a wrong header or row width, a label
+    not 0 or 1, an empty path, a file an earlier row names, or no data rows."""
 
 
 class NoUsableAudio(Error):

@@ -151,7 +151,8 @@ def cross_validate(config, data, k: int = 5, seed: int = 0,
     """Fit on each fold complement, score the fold, pool everything.
 
     Each fold is scored once; its hard labels are `score >= 0.5`, which is
-    how `classifiers.predict` is defined.
+    how `classifiers.predict` is defined. For `positive=0` the pooled labels,
+    hard labels and scores are then flipped once, so a 0.5 score still predicts 1.
     """
     X = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.int64)
@@ -168,14 +169,11 @@ def cross_validate(config, data, k: int = 5, seed: int = 0,
     y_true = np.concatenate(y_true_parts)
     s = np.concatenate(score_parts)
     y_pred = (s >= 0.5).astype(np.int64)
+    if positive == 0:
+        y_true, y_pred, s = 1 - y_true, 1 - y_pred, 1.0 - s
 
-    cm = confusion(y_true, y_pred, positive=positive)
-    rep = metrics(cm)
-    if positive == 1:
-        curve = roc(s, y_true)
-    else:
-        curve = roc(1.0 - s, 1 - y_true)
-    return CrossValidationResult(cm, rep, curve)
+    cm = confusion(y_true, y_pred)
+    return CrossValidationResult(cm, metrics(cm), roc(s, y_true))
 
 
 # --- report files -------------------------------------------------------------

@@ -179,11 +179,11 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_labeled_csv(path, header, error, label_error=None):
+def read_labeled_csv(path, header, error):
     """Yield (line_no, cells) per row of a CSV whose last column is a 0/1 label.
 
-    Raises `error` for an empty file, another header or a row of the wrong
-    width, and `label_error` (default `error`) for any other label. Rows come
+    Raises `error` for an empty file, another header, a row of the wrong
+    width, any other label, or a header with no data rows after it. Rows come
     one at a time, so a caller's own check on a row still finds the first bad line.
     """
     with open(path, newline="") as fh:
@@ -195,8 +195,10 @@ def read_labeled_csv(path, header, error, label_error=None):
             if len(cells) != len(header):
                 raise error(f"line {line_no}: expected {len(header)} fields, got {len(cells)}")
             if cells[-1] not in ("0", "1"):
-                raise (label_error or error)(f"line {line_no}: label {cells[-1]!r} is not 0 or 1")
+                raise error(f"line {line_no}: label {cells[-1]!r} is not 0 or 1")
             yield line_no, cells
+        if reader.line_num == 1:  # the header was the only line
+            raise error("no data rows")
 
 
 CACHE_HEADER = ["source_id"] + [f"f{i + 1}" for i in range(N_FEATURES)] + ["label"]
@@ -223,6 +225,4 @@ def read_feature_cache(path) -> LabeledDataset:
         ids.append(cells[0])
         rows.append(values)
         labels.append(int(cells[-1]))
-    if not rows:
-        raise CacheFormatError("cache has no data rows")
     return LabeledDataset(np.asarray(rows), np.asarray(labels), ids)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -399,6 +400,11 @@ class TestSerialization:
         assert np.array_equal(predict(model, queries), predict(restored, queries))
         assert np.array_equal(np.atleast_1d(score(model, queries)),
                               np.atleast_1d(score(restored, queries)))
+
+    def test_model_is_frozen(self):
+        model = fit(TrainConfig("lda"), two_gaussians(seed=13, n_per_class=25))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.params = {}
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from emdclf import ALGORITHMS, __version__, emd
 from emdclf.cli import (ManifestEntry, RunConfig, load_manifest, main,
                         run_evaluate, run_extract)
-from emdclf.errors import (BadHeader, BadLabel, DegenerateSignal, EmptyManifest,
+from emdclf.errors import (CacheFormatError, DegenerateSignal, ManifestFormatError,
                            MissingFile, NoUsableAudio)
-from emdclf.features import N_FEATURES, extract_feature_vector
+from emdclf.features import N_FEATURES, extract_feature_vector, read_feature_cache
 from emdclf.signal import decode_wav, encode_wav, z_normalize
 from emdclf.synthetic import generate_corpus
 
@@ -45,19 +45,20 @@ class TestLoadManifest:
     def test_bad_header(self, tmp_path):
         m = tmp_path / "manifest.csv"
         m.write_text("file,y\na.wav,0\n")
-        with pytest.raises(BadHeader):
+        with pytest.raises(ManifestFormatError):
             load_manifest(m)
 
     def test_bad_label(self, tmp_path):
         m = tmp_path / "manifest.csv"
         m.write_text("path,label\na.wav,positive\n")
-        with pytest.raises(BadLabel):
+        with pytest.raises(ManifestFormatError,
+                           match="line 2: label 'positive' is not 0 or 1"):
             load_manifest(m)
 
     def test_empty_manifest(self, tmp_path):
         m = tmp_path / "manifest.csv"
         m.write_text("path,label\n")
-        with pytest.raises(EmptyManifest):
+        with pytest.raises(ManifestFormatError, match="no data rows"):
             load_manifest(m)
 
     def test_absolute_path_kept(self, tmp_path):
@@ -70,19 +71,19 @@ class TestLoadManifest:
     def test_empty_file(self, tmp_path):
         m = tmp_path / "manifest.csv"
         m.write_text("")
-        with pytest.raises(BadHeader, match="line 1"):
+        with pytest.raises(ManifestFormatError, match="line 1"):
             load_manifest(m)
 
     def test_wrong_width_names_line(self, tmp_path):
         m = tmp_path / "manifest.csv"
         m.write_text("path,label\na.wav,0\nb.wav,1,extra\n")
-        with pytest.raises(BadHeader, match="line 3"):
+        with pytest.raises(ManifestFormatError, match="line 3"):
             load_manifest(m)
 
     def test_first_bad_line_reported(self, tmp_path):
         m = tmp_path / "manifest.csv"
         m.write_text("path,label\n,0\nb.wav,positive\n")
-        with pytest.raises(BadHeader, match="line 2: empty path"):
+        with pytest.raises(ManifestFormatError, match="line 2: empty path"):
             load_manifest(m)
 
     @pytest.mark.parametrize("rows, line, cell, first", [
@@ -93,7 +94,7 @@ class TestLoadManifest:
         manifest = small_corpus(tmp_path, n_per_class=1)
         manifest.write_text("path,label\n" + rows)
         message = f"line {line}: {cell} names the same file as line {first}"
-        with pytest.raises(BadHeader, match=re.escape(message)):
+        with pytest.raises(ManifestFormatError, match=re.escape(message)):
             load_manifest(manifest)
         out = tmp_path / "out"
         assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
@@ -218,6 +219,18 @@ class TestRunExtract:
         sidecar_rows = (out / "errors.csv").read_text().splitlines()[1:]
         assert len(sidecar_rows) == 1
         assert sidecar_rows[0].startswith("a/y.wav,MissingFile: ")
+
+    def test_failed_rerun_leaves_no_cache(self, tmp_path):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(encode_wav(np.sin(np.linspace(0, 20, 400)), RATE))
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\na.wav,1\n")
+        out = tmp_path / "out"
+        assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 0
+        wav.write_bytes(b"junk")
+        assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["errors.csv"]
+        assert (out / "errors.csv").read_text().splitlines()[1].startswith("a.wav,MalformedWav: ")
 
 
 @st.composite
@@ -512,3 +525,22 @@ class TestMainEntry:
         assert main(["evaluate", "--cache", str(small_cache), "--out", str(taken)]) == 2
         assert capsys.readouterr().err.count("error: FileExistsError: ") == 2
         assert taken.read_text() == ""
+
+    def test_header_only_manifest_exit_code(self, tmp_path, capsys):
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\n")
+        out = tmp_path / "o"
+        assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ManifestFormatError: no data rows")
+        assert not out.exists()
+
+    def test_header_only_cache_exit_code(self, small_cache, tmp_path, capsys):
+        cache = tmp_path / "features.csv"
+        cache.write_text(small_cache.read_text().splitlines()[0] + "\n")
+        with pytest.raises(CacheFormatError, match="no data rows"):
+            read_feature_cache(cache)
+        out = tmp_path / "o"
+        assert main(["evaluate", "--cache", str(cache), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: CacheFormatError: no data rows\n"

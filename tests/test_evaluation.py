@@ -251,6 +251,29 @@ class TestCrossValidate:
         assert np.array_equal(result.roc.points, expected.points)
         assert result.roc.auc == expected.auc
 
+    def test_positive_zero_flips_after_thresholding(self, monkeypatch):
+        data = two_gaussians(seed=17, n_per_class=40, offset=0.3)
+        config = TrainConfig("bagged_trees", n_trees=4, seed=1)
+        folds = stratified_kfold(data.labels, 5, seed=3)
+        y_true, y_pred, s = [], [], []
+        for fold in folds:
+            train = np.ones(len(data), dtype=bool)
+            train[fold] = False
+            model = fit(config, LabeledDataset(data.features[train], data.labels[train]))
+            y_true.append(data.labels[fold])
+            y_pred.append(predict(model, data.features[fold]))
+            s.append(score(model, data.features[fold]))
+        y_true, y_pred, s = map(np.concatenate, (y_true, y_pred, s))
+        # four trees split 2-2: a 0.5 score predicts label 1, the negative class here
+        assert np.any(s == 0.5)
+
+        monkeypatch.setattr(classifiers, "predict", None)  # any call would raise
+        result = cross_validate(config, data, k=5, seed=3, positive=0)
+        assert result.confusion == confusion(y_true, y_pred, positive=0)
+        expected = roc(1.0 - s, 1 - y_true)
+        assert np.array_equal(result.roc.points, expected.points)
+        assert result.roc.auc == expected.auc
+
 
 class TestReportHelpers:
     def rows(self):
