@@ -85,7 +85,7 @@ def _validate_training(data):
 
 
 def fit(config: TrainConfig, data) -> TrainedModel:
-    """Train one model. Raises SingleClassData / NonFiniteFeature on bad input."""
+    """Train one model. Raises DimensionMismatch, SingleClassData or NonFiniteFeature."""
     X, y = _validate_training(data)
     params = _IMPL[config.algorithm][0](config, X, y)
     return TrainedModel(config.algorithm, X.shape[1], params)

@@ -331,24 +331,22 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
     Parameters
     ----------
     samples : array_like
-        Finite sequence with >= 2 maxima and >= 2 minima (InsufficientExtrema
-        otherwise; ValueError for a NaN or infinite sample).
+        Sequence of >= 3 samples; with both envelopes, a NaN or infinite
+        sample raises ValueError.
     max_iters : int
         Cap on subtraction steps.
 
     Returns
     -------
     (ndarray, int, ImfCheck)
-        The candidate as a new array (equal to the input if it already
-        passes the mode test), the number of subtractions performed, and
-        the mode test of the returned candidate, equal to ``is_imf`` of it.
-        Sifting stops when the candidate passes, when it has too few
-        extrema for an envelope, or after `max_iters` subtractions.
+        The candidate as a new array, the number of subtractions performed,
+        and the mode test of the returned candidate, equal to ``is_imf`` of
+        it. Sifting stops when the candidate passes, when it has too few
+        extrema for an envelope, or after `max_iters` subtractions; an input
+        that passes or has no envelope comes back equal, after 0 subtractions.
     """
     h = np.array(samples, dtype=np.float64)
     check, envelope = _check_candidate(h)
-    if envelope is None:
-        raise InsufficientExtrema(f"{check.n_maxima} maxima / {check.n_minima} minima")
     iters = 0
     while not check and envelope is not None and iters < max_iters:
         h = h - envelope
@@ -360,19 +358,16 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
 def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposition:
     """Peel off up to `max_imfs` modes from a signal.
 
-    Stops early when the residual runs out of extrema, or when a sift hits
-    the iteration cap without passing the mode test (that candidate is
-    discarded so every stored mode genuinely passes). The stored modes plus
-    the residual always sum back to the input.
+    Stops at the first sifted candidate that fails the mode test, whether it
+    has too few extrema for an envelope or hit the iteration cap (that
+    candidate is discarded so every stored mode genuinely passes). The
+    stored modes plus the residual always sum back to the input.
     """
     residual = signal.samples.copy()
     imfs: list[np.ndarray] = []
     counts: list[int] = []
     while len(imfs) < max_imfs and residual.size >= 3:
-        try:
-            h, iters, check = sift(residual)
-        except InsufficientExtrema:
-            break
+        h, iters, check = sift(residual)
         if not check:
             break
         imfs.append(h)

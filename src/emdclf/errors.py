@@ -35,7 +35,7 @@ class TooShort(Error):
 
 
 class InsufficientExtrema(Error):
-    """Fewer than 2 maxima or 2 minima: no envelope can be built."""
+    """Fewer than 2 maxima or 2 minima: `mean_envelope` has no envelope to return."""
 
 
 # --- classifiers ------------------------------------------------------------
@@ -69,8 +69,8 @@ class MissingFile(Error):
 
 
 class ManifestFormatError(Error):
-    """Manifest is not `path,label` CSV: a wrong header or row width, a label
-    not 0 or 1, an empty path, a file an earlier row names, or no data rows."""
+    """Manifest is not `path,label` CSV: a wrong header or row width, a label not 0 or 1,
+    an empty path, a file an earlier row names, no data rows, or a field over 131,072 chars."""
 
 
 class NoUsableAudio(Error):

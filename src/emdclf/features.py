@@ -182,21 +182,24 @@ def write_csv(path, header, rows) -> None:
 def read_labeled_csv(path, header, error):
     """Yield (line_no, cells) per row of a CSV whose last column is a 0/1 label.
 
-    Raises `error` for an empty file, another header, a row of the wrong
-    width, any other label, or a header with no data rows after it. Rows come
-    one at a time, so a caller's own check on a row still finds the first bad line.
+    Raises `error` for an empty file, another header, a row of the wrong width, any
+    other label, a header with no data rows after it, or a line that csv rejects. Rows
+    come one at a time, so a caller's own check on a row still finds the first bad line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, [])
-        if found != header:
-            raise error(f"line 1: expected {','.join(header)!r}, got {','.join(found)!r}")
-        for line_no, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise error(f"line {line_no}: expected {len(header)} fields, got {len(cells)}")
-            if cells[-1] not in ("0", "1"):
-                raise error(f"line {line_no}: label {cells[-1]!r} is not 0 or 1")
-            yield line_no, cells
+        try:
+            found = next(reader, [])
+            if found != header:
+                raise error(f"line 1: expected {','.join(header)!r}, got {','.join(found)!r}")
+            for line_no, cells in enumerate(reader, start=2):
+                if len(cells) != len(header):
+                    raise error(f"line {line_no}: expected {len(header)} fields, got {len(cells)}")
+                if cells[-1] not in ("0", "1"):
+                    raise error(f"line {line_no}: label {cells[-1]!r} is not 0 or 1")
+                yield line_no, cells
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise error(f"line {reader.line_num}: {exc}") from None
         if reader.line_num == 1:  # the header was the only line
             raise error("no data rows")
 

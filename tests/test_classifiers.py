@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +112,12 @@ class TestFitValidation:
     def test_lda_needs_two_rows_per_class(self):
         with pytest.raises(SingleClassData):
             fit(TrainConfig("lda"), dataset([[0.0], [0.1], [1.0]], [0, 0, 1]))
+
+    def test_one_dimensional_features_rejected(self):
+        # fit reads only .features and .labels, so a plain namespace reaches its check
+        data = SimpleNamespace(features=np.zeros(3), labels=np.array([0, 1, 0]))
+        with pytest.raises(DimensionMismatch):
+            fit(TrainConfig("knn"), data)
 
     def test_predict_dimension_mismatch(self):
         model = fit(TrainConfig("knn"), dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 0, 1, 1]))

@@ -544,3 +544,23 @@ class TestMainEntry:
         assert main(["evaluate", "--cache", str(cache), "--out", str(out)]) == 4
         assert not out.exists()
         assert capsys.readouterr().err == "error: CacheFormatError: no data rows\n"
+
+    def test_over_long_manifest_field_exit_code(self, tmp_path, capsys):
+        # a cell over csv.field_size_limit() (131,072) is a format fault, not a crash
+        m = tmp_path / "manifest.csv"
+        m.write_text("path,label\n" + "x" * 200_000 + ".wav,1\n")
+        out = tmp_path / "o"
+        assert main(["extract", "--manifest", str(m), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: ManifestFormatError: line 2: field larger than field limit (131072)\n")
+
+    def test_over_long_cache_field_exit_code(self, small_cache, tmp_path, capsys):
+        header, row = small_cache.read_text().splitlines()[:2]
+        cache = tmp_path / "features.csv"
+        cache.write_text(f"{header}\n{'x' * 200_000}{row[row.index(','):]}\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", "--cache", str(cache), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: CacheFormatError: line 2: field larger than field limit (131072)\n")

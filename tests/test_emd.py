@@ -277,6 +277,10 @@ class TestSplineEnvelope:
         with pytest.raises(ValueError):
             emd.spline_envelope([5, 2], [1.0, 2.0], 10)
 
+    def test_knot_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="knot index/value lengths differ"):
+            emd.spline_envelope([0, 1, 2], [0.0, 1.0], 5)
+
     @settings(max_examples=300, deadline=None)
     @given(spline_cases())
     @example((10, np.array([-3.0, 4.0, 12.0]), np.array([0.5, -2.0, 1.0])))
@@ -607,6 +611,8 @@ class TestIsImf:
             assert np.isnan(check.envelope_ratio) and not check.passed
             with pytest.raises(InsufficientExtrema):
                 emd.mean_envelope(x)
+            h, iters, sifted = emd.sift(x)
+            np.testing.assert_equal((h, iters, astuple(sifted)), (x, 0, astuple(check)))
 
 
 class TestSift:
@@ -630,15 +636,16 @@ class TestSift:
         rng = np.random.default_rng(14)
         for _ in range(1000):
             x = rng.standard_normal(int(rng.integers(32, 300)))
-            try:
-                _, iters, _ = emd.sift(x)
-            except InsufficientExtrema:
-                continue
+            _, iters, _ = emd.sift(x)
             assert iters <= 100
 
     def test_insufficient_extrema(self):
-        with pytest.raises(InsufficientExtrema):
-            emd.sift(np.linspace(0.0, 1.0, 50))
+        # no envelope: the input comes back as a copy, unsifted, with its failing test
+        x = np.linspace(0.0, 1.0, 50)
+        h, iters, check = emd.sift(x)
+        assert np.array_equal(h, x) and h is not x
+        assert iters == 0 and not check.passed
+        np.testing.assert_equal(astuple(check), astuple(emd.is_imf(x)))
 
     @pytest.mark.parametrize("x, max_iters, iters, passed", [
         # converges

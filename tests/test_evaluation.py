@@ -198,6 +198,14 @@ class TestRoc:
         with pytest.raises(SingleClassData):
             roc([0.1, 0.9], [1, 1])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            roc([0.1, 0.2], [1])
+
+    def test_non_finite_score_rejected(self):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            roc([np.nan, 0.2], [0, 1])
+
 
 class TestCrossValidate:
     def test_pooled_totals(self, gaussian_data):

@@ -85,6 +85,10 @@ class TestZeroCrossingRate:
         with pytest.raises(TooShort):
             zero_crossing_rate([1.0], 10)
 
+    def test_zero_rate_rejected(self):
+        with pytest.raises(ValueError, match="sample rate must be positive"):
+            zero_crossing_rate([1.0, -1.0, 1.0], 0)
+
 
 class TestShannonEntropy:
     def test_constant(self):
@@ -431,3 +435,11 @@ class TestLabeledDataset:
     def test_binary_labels_enforced(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 2]))
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            LabeledDataset(np.zeros(3), np.array([0, 1, 0]))
+
+    def test_source_ids_parallel_enforced(self):
+        with pytest.raises(ValueError, match="source_ids"):
+            LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), ["a.wav"])

@@ -123,6 +123,16 @@ class TestDecodeWav:
         with pytest.raises(UnsupportedEncoding):
             decode_wav(make_extensible_wav(bytes(12), **kwargs))
 
+    @pytest.mark.parametrize("blob, match", [
+        (b"RIFF" + struct.pack("<I", 20) + b"WAVE" + b"fmt " + struct.pack("<I", 8) + bytes(8),
+         "shorter than 16 bytes"),
+        (make_wav(b"")[:36], "missing fmt or data chunk"),  # the RIFF header and fmt chunk only
+        (make_wav(bytes(6), n_channels=2), "whole number of frames"),  # 1.5 stereo frames
+    ], ids=["short_fmt", "no_data", "partial_frame"])
+    def test_malformed_chunks_rejected(self, blob, match):
+        with pytest.raises(MalformedWav, match=match):
+            decode_wav(blob)
+
     def test_pcm16_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -130,6 +140,16 @@ class TestDecodeWav:
             sig = decode_wav(make_wav(struct.pack(f"<{ints.size}h", *ints)))
             again = decode_wav(encode_wav(sig.samples, sig.sample_rate_hz, fmt="pcm16"))
             assert np.array_equal(sig.samples, again.samples)
+
+
+class TestEncodeWav:
+    @pytest.mark.parametrize("samples, fmt, match", [
+        (np.zeros((4, 3)), "pcm16", r"\(n,\) or \(n, 2\)"),
+        (np.zeros(4), "pcm24", "unknown format 'pcm24'"),
+    ], ids=["three_channels", "unknown_format"])
+    def test_bad_arguments_rejected(self, samples, fmt, match):
+        with pytest.raises(ValueError, match=match):
+            encode_wav(samples, 8000, fmt=fmt)
 
 
 class TestSignal:
