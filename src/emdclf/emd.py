@@ -22,6 +22,7 @@ Conventions fixed here (and relied on by the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -217,6 +218,7 @@ def _splines(xk: np.ndarray, yk: np.ndarray, a: int, n: int) -> np.ndarray:
     d = np.subtract(M[1:], M[:-1], out=b)
     h *= 6.0
     d /= h
+    del h  # freed before the piece starts take its place
     M /= 2.0
     starts = np.clip(np.ceil(xk[1:-1]), 0, n).astype(np.intp)  # starts[k - 1]: piece k's
     starts[a - 2:a] = n  # the joining piece and the second set's first
@@ -256,7 +258,8 @@ def _envelope_mean(x: np.ndarray, ext: ExtremaSet) -> np.ndarray:
     mx, mn = ext.maxima_idx, ext.minima_idx
     k = np.concatenate((mx[1::-1], mx, mx[:-3:-1], mn[1::-1], mn, mn[:-3:-1]))
     xk, yk = k.astype(np.float64), x.take(k)
-    a, m, r = mx.size + 4, k.size, 2.0 * (n - 1)
+    del k  # the knot positions live on in xk
+    a, m, r = mx.size + 4, xk.size, 2.0 * (n - 1)
     mirrored = np.array([0, 1, a - 2, a - 1, a, a + 1, m - 2, m - 1])
     xk[mirrored] = np.array([0.0, 0.0, r, r, 0.0, 0.0, r, r]) - xk[mirrored]
     mean = _splines(xk, yk, a, n)
@@ -325,6 +328,12 @@ def is_imf(samples) -> ImfCheck:
     return _check_candidate(np.asarray(samples, dtype=np.float64))[0]
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not a non-negative integer (2.5 or -1)."""
+    if not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def sift(samples, max_iters: int = MAX_SIFT_ITERS):
     """Extract one mode candidate by repeated envelope-mean subtraction.
 
@@ -332,9 +341,9 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
     ----------
     samples : array_like
         Sequence of >= 3 samples; with both envelopes, a NaN or infinite
-        sample raises ValueError.
+        sample raises ValueError. It is never modified.
     max_iters : int
-        Cap on subtraction steps.
+        Cap on subtraction steps, a non-negative integer (else ValueError).
 
     Returns
     -------
@@ -344,15 +353,27 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
         it. Sifting stops when the candidate passes, when it has too few
         extrema for an envelope, or after `max_iters` subtractions; an input
         that passes or has no envelope comes back equal, after 0 subtractions.
+
+    Notes
+    -----
+    Each subtraction writes the new candidate over the envelope it subtracts
+    and frees the old candidate before the next mode test, so one envelope is
+    alive at a time. Subtracting in place from the first copy gives the same
+    bytes and nearly the same peak, but leaves glibc's malloc a free heap top
+    to trim after every mode test: a capped 2^16-sample sift then faults in
+    about 350 MB.
     """
+    _check_count("max_iters", max_iters)
     h = np.array(samples, dtype=np.float64)
     check, envelope = _check_candidate(h)
     iters = 0
     while not check and envelope is not None and iters < max_iters:
-        h = h - envelope
+        h = np.subtract(h, envelope, out=envelope)
+        del envelope
         iters += 1
         check, envelope = _check_candidate(h)
-    return h, iters, check
+    # a subtracted candidate is a view of the spline's buffer, which runs past n
+    return (h if h.base is None else h.copy()), iters, check
 
 
 def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposition:
@@ -361,8 +382,10 @@ def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposit
     Stops at the first sifted candidate that fails the mode test, whether it
     has too few extrema for an envelope or hit the iteration cap (that
     candidate is discarded so every stored mode genuinely passes). The
-    stored modes plus the residual always sum back to the input.
+    stored modes plus the residual always sum back to the input, which is
+    never modified. `max_imfs` is a non-negative integer (else ValueError).
     """
+    _check_count("max_imfs", max_imfs)
     residual = signal.samples.copy()
     imfs: list[np.ndarray] = []
     counts: list[int] = []
@@ -380,15 +403,20 @@ def write_decomposition_csv(path, signal: Signal, dec: ImfDecomposition) -> None
     """Debug dump: columns t, input, imf1..imf5, residual (empty for absent modes).
 
     Writes `path` in ``_DUMP_BLOCK_ROWS``-row blocks, each value as ``%.17g``, with LF line ends.
+    Each block is stacked from column slices and its own times: the full table is
+    never built, so the memory used does not grow with the recording.
     """
     n_cols = max(DEFAULT_MAX_IMFS, len(dec.imfs))
     header = "t,input," + ",".join(f"imf{i + 1}" for i in range(n_cols)) + ",residual"
-    t = np.arange(signal.samples.size) / signal.sample_rate_hz
-    table = np.column_stack([t, signal.samples, *dec.imfs, dec.residual])
+    columns = [signal.samples, *dec.imfs, dec.residual]
     cells = ["%.17g"] * (2 + len(dec.imfs)) + [""] * (n_cols - len(dec.imfs)) + ["%.17g"]
     row_fmt = ",".join(cells) + "\n"
+    n = signal.samples.size
+    if any(np.shape(c) != (n,) for c in columns):  # checked before the file is opened
+        raise ValueError("every mode and the residual need one value per sample")
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), _DUMP_BLOCK_ROWS):
-            block = table[start:start + _DUMP_BLOCK_ROWS]
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, n, _DUMP_BLOCK_ROWS):
+            t = np.arange(start, min(start + _DUMP_BLOCK_ROWS, n)) / signal.sample_rate_hz
+            block = np.column_stack([t, *(c[start:start + t.size] for c in columns)])
+            fh.write(row_fmt * t.size % tuple(block.ravel().tolist()))

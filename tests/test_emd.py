@@ -662,6 +662,27 @@ class TestSift:
         # assert_equal treats NaN envelope ratios as equal
         np.testing.assert_equal(astuple(check), astuple(emd.is_imf(h)))
 
+    def test_input_unchanged(self):
+        # the subtractions write into sift's own buffers, and the candidate
+        # comes back owning exactly its samples
+        x = np.random.default_rng(22).standard_normal(500)
+        before = x.tobytes()
+        h, iters, _ = emd.sift(x)
+        assert iters >= 1 and h is not x
+        assert h.base is None and h.nbytes == x.nbytes
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("max_iters", [1.5, 2.0, -1, "3"])
+    def test_bad_max_iters_rejected(self, max_iters):
+        x = np.random.default_rng(23).standard_normal(300)
+        with pytest.raises(ValueError, match="max_iters"):
+            emd.sift(x, max_iters=max_iters)
+
+    def test_integer_max_iters_accepted(self):
+        x = np.random.default_rng(19).standard_normal(300)
+        assert emd.sift(x, max_iters=np.int64(1))[1] == 1
+        assert emd.sift(x, max_iters=0)[1] == 0
+
 
 class TestDecompose:
     def test_constant_signal(self):
@@ -708,6 +729,25 @@ class TestDecompose:
         dec = emd.decompose(Signal(rng.standard_normal(2048), 1000), max_imfs=3)
         assert len(dec.imfs) <= 3
         assert len(dec.sift_counts) == len(dec.imfs)
+
+    def test_input_unchanged(self):
+        x = np.random.default_rng(24).standard_normal(800)
+        before = x.tobytes()
+        sig = Signal(x, 1000)
+        dec = emd.decompose(sig)
+        assert dec.imfs and sum(dec.sift_counts) >= 1
+        assert sig.samples.tobytes() == before
+
+    @pytest.mark.parametrize("max_imfs", [2.5, 3.0, -1, "2"])
+    def test_bad_max_imfs_rejected(self, max_imfs):
+        sig = Signal(np.random.default_rng(25).standard_normal(600), 1000)
+        with pytest.raises(ValueError, match="max_imfs"):
+            emd.decompose(sig, max_imfs=max_imfs)
+
+    def test_integer_max_imfs_accepted(self):
+        sig = Signal(np.random.default_rng(25).standard_normal(600), 1000)
+        assert len(emd.decompose(sig, max_imfs=np.int64(1)).imfs) == 1
+        assert emd.decompose(sig, max_imfs=0).imfs == []
 
     def test_deterministic(self):
         rng = np.random.default_rng(18)
@@ -768,3 +808,51 @@ class TestDecompositionCsv:
             assert cell == ""
         # round-trip check on a value
         assert float(lines[3].split(",")[1]) == sig.samples[2]
+
+
+def _traced_peak(fn):
+    """Peak bytes traced during a second call of `fn` (the first fills numpy's caches)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDumpLengths:
+    @pytest.mark.parametrize("residual_size", [BLOCK + 9, BLOCK + 11])
+    def test_length_mismatch_rejected_before_writing(self, tmp_path, residual_size):
+        # a longer column would be cut to the input's rows, a shorter one would
+        # fail in the last block: both are rejected before the file exists
+        signal = Signal(np.ones(BLOCK + 10), 100)
+        dec = emd.ImfDecomposition(imfs=[], residual=np.zeros(residual_size))
+        path = tmp_path / "dump.csv"
+        with pytest.raises(ValueError):
+            emd.write_decomposition_csv(path, signal, dec)
+        assert not path.exists()
+
+
+class TestWorkingSet:
+    """Buffers on the decompose path live only until their last use."""
+
+    def test_sift_holds_one_envelope(self):
+        # sifting adds less than 1.75 n-length arrays to one mode test's peak:
+        # an old envelope kept through the next mode test would add a whole one
+        n = 2**16
+        x = np.random.default_rng(0).standard_normal(n)
+        assert emd.sift(x, max_iters=3)[1] == 3
+        one_test = _traced_peak(lambda: emd._check_candidate(x))
+        sifting = _traced_peak(lambda: emd.sift(x, max_iters=3))
+        assert sifting - one_test < 1.75 * n * 8
+
+    def test_dump_memory_does_not_grow_with_rows(self, tmp_path):
+        # a five-mode dump of 16 blocks of rows peaks within 10% of one of 4 blocks
+        def dump_peak(rows):
+            y = np.random.default_rng(rows).standard_normal(rows)
+            dec = emd.ImfDecomposition(imfs=[y * (i + 1) for i in range(5)], residual=y * 7)
+            signal = Signal(y, 16000)
+            return _traced_peak(lambda: emd.write_decomposition_csv(tmp_path / "dump.csv", signal, dec))
+
+        assert dump_peak(16 * BLOCK) <= 1.1 * dump_peak(4 * BLOCK)
