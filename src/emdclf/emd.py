@@ -356,12 +356,8 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
 
     Notes
     -----
-    Each subtraction writes the new candidate over the envelope it subtracts
-    and frees the old candidate before the next mode test, so one envelope is
-    alive at a time. Subtracting in place from the first copy gives the same
-    bytes and nearly the same peak, but leaves glibc's malloc a free heap top
-    to trim after every mode test: a capped 2^16-sample sift then faults in
-    about 350 MB.
+    Each new candidate is written over the envelope it subtracts, so one
+    envelope is alive per mode test and no subtraction allocates a new array.
     """
     _check_count("max_iters", max_iters)
     h = np.array(samples, dtype=np.float64)
@@ -372,6 +368,7 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
         del envelope
         iters += 1
         check, envelope = _check_candidate(h)
+    del envelope  # freed before the copy below
     # a subtracted candidate is a view of the spline's buffer, which runs past n
     return (h if h.base is None else h.copy()), iters, check
 
@@ -403,20 +400,15 @@ def write_decomposition_csv(path, signal: Signal, dec: ImfDecomposition) -> None
     """Debug dump: columns t, input, imf1..imf5, residual (empty for absent modes).
 
     Writes `path` in ``_DUMP_BLOCK_ROWS``-row blocks, each value as ``%.17g``, with LF line ends.
-    Each block is stacked from column slices and its own times: the full table is
-    never built, so the memory used does not grow with the recording.
     """
     n_cols = max(DEFAULT_MAX_IMFS, len(dec.imfs))
     header = "t,input," + ",".join(f"imf{i + 1}" for i in range(n_cols)) + ",residual"
-    columns = [signal.samples, *dec.imfs, dec.residual]
+    t = np.arange(signal.samples.size) / signal.sample_rate_hz
+    table = np.column_stack([t, signal.samples, *dec.imfs, dec.residual])
     cells = ["%.17g"] * (2 + len(dec.imfs)) + [""] * (n_cols - len(dec.imfs)) + ["%.17g"]
     row_fmt = ",".join(cells) + "\n"
-    n = signal.samples.size
-    if any(np.shape(c) != (n,) for c in columns):  # checked before the file is opened
-        raise ValueError("every mode and the residual need one value per sample")
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for start in range(0, n, _DUMP_BLOCK_ROWS):
-            t = np.arange(start, min(start + _DUMP_BLOCK_ROWS, n)) / signal.sample_rate_hz
-            block = np.column_stack([t, *(c[start:start + t.size] for c in columns)])
-            fh.write(row_fmt * t.size % tuple(block.ravel().tolist()))
+        for start in range(0, len(table), _DUMP_BLOCK_ROWS):
+            block = table[start:start + _DUMP_BLOCK_ROWS]
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))

@@ -663,8 +663,7 @@ class TestSift:
         np.testing.assert_equal(astuple(check), astuple(emd.is_imf(h)))
 
     def test_input_unchanged(self):
-        # the subtractions write into sift's own buffers, and the candidate
-        # comes back owning exactly its samples
+        # the candidate comes back owning exactly its samples
         x = np.random.default_rng(22).standard_normal(500)
         before = x.tobytes()
         h, iters, _ = emd.sift(x)
@@ -821,19 +820,6 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-class TestDumpLengths:
-    @pytest.mark.parametrize("residual_size", [BLOCK + 9, BLOCK + 11])
-    def test_length_mismatch_rejected_before_writing(self, tmp_path, residual_size):
-        # a longer column would be cut to the input's rows, a shorter one would
-        # fail in the last block: both are rejected before the file exists
-        signal = Signal(np.ones(BLOCK + 10), 100)
-        dec = emd.ImfDecomposition(imfs=[], residual=np.zeros(residual_size))
-        path = tmp_path / "dump.csv"
-        with pytest.raises(ValueError):
-            emd.write_decomposition_csv(path, signal, dec)
-        assert not path.exists()
-
-
 class TestWorkingSet:
     """Buffers on the decompose path live only until their last use."""
 
@@ -846,13 +832,3 @@ class TestWorkingSet:
         one_test = _traced_peak(lambda: emd._check_candidate(x))
         sifting = _traced_peak(lambda: emd.sift(x, max_iters=3))
         assert sifting - one_test < 1.75 * n * 8
-
-    def test_dump_memory_does_not_grow_with_rows(self, tmp_path):
-        # a five-mode dump of 16 blocks of rows peaks within 10% of one of 4 blocks
-        def dump_peak(rows):
-            y = np.random.default_rng(rows).standard_normal(rows)
-            dec = emd.ImfDecomposition(imfs=[y * (i + 1) for i in range(5)], residual=y * 7)
-            signal = Signal(y, 16000)
-            return _traced_peak(lambda: emd.write_decomposition_csv(tmp_path / "dump.csv", signal, dec))
-
-        assert dump_peak(16 * BLOCK) <= 1.1 * dump_peak(4 * BLOCK)
