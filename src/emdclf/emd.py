@@ -17,15 +17,18 @@ Conventions fixed here (and relied on by the tests):
   nonzero signs; zero samples inherit the previous nonzero sign
 * a candidate is accepted as a mode when |crossings - extrema| <= 1 and the
   envelope mean stays within 5% of the peak amplitude
+* the spline system is solved by LAPACK's dgtsv from numpy's own OpenBLAS;
+  scipy's wrapper of it, with the same bytes, only where numpy lacks it
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
+from glob import glob
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import InsufficientExtrema, TooShort
 from .signal import Signal
@@ -170,15 +173,44 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     return _splines(xk, yk, xk.size, n)
 
 
+def _load_gtsv(libs: str = np.__path__[0] + ".libs"):
+    """LAPACK's dgtsv as ``gtsv(dl, d, du, b) -> info``, solving in place into
+    `b`: ``scipy_dgtsv_64_`` of the OpenBLAS that numpy's wheel keeps in `libs`
+    and has loaded, or scipy's wrapper of the same routine if that is missing."""
+    try:
+        fn = ctypes.CDLL(glob(libs + "/*openblas64_*")[0]).scipy_dgtsv_64_
+    except (IndexError, OSError, AttributeError):  # no such library, or no such symbol
+        from scipy.linalg.lapack import dgtsv
+
+        def scipy_gtsv(dl, d, du, b):
+            return dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[-1]
+        return scipy_gtsv
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    fn.argtypes, fn.restype = [i64, i64, f64, f64, f64, f64, i64, i64], None
+    buf = ctypes.c_double.from_buffer  # raises for a non-contiguous or read-only array
+
+    def numpy_gtsv(dl, d, du, b):
+        if not (d.size == b.size == dl.size + 1 == du.size + 1
+                and dl.dtype == d.dtype == du.dtype == b.dtype == np.float64):
+            raise ValueError("gtsv needs float64 arrays of sizes n - 1, n, n - 1 and n")
+        n, info = ctypes.c_int64(b.size), ctypes.c_int64()  # per call, so threads can share it
+        fn(n, ctypes.c_int64(1), buf(dl), buf(d), buf(du), buf(b), n, info)  # n is also LDB
+        return info.value
+    return numpy_gtsv
+
+
+_gtsv = _load_gtsv()  # chosen once, at import
+
+
 def _splines(xk: np.ndarray, yk: np.ndarray, a: int, n: int) -> np.ndarray:
     """Sum of the natural splines through knots ``:a`` and ``a:`` of one
     stacked array (only the first if ``a`` is its size; a set has >= 3
     knots, and knots a - 1 and a differ), each sampled at 0..n-1. Raises as
     `spline_envelope` documents.
 
-    One gtsv solves both sets: the rows of knots a - 1 and a, where they
-    join, say M = 0 and couple to nothing, so each set is eliminated exactly
-    as if alone (the system is diagonally dominant, so gtsv never pivots).
+    One `_gtsv` call solves both sets: the rows of knots a - 1 and a, where
+    they join, say M = 0 and couple to nothing, so each set is eliminated
+    exactly as if alone (the system is diagonally dominant, so it never pivots).
     The joining piece gets a zero slope and is never evaluated.
 
     Point t of set j is point t + j*n of a stacked grid, evaluated in blocks
@@ -203,11 +235,11 @@ def _splines(xk: np.ndarray, yk: np.ndarray, a: int, n: int) -> np.ndarray:
     diag[a - 2:a] = 1.0  # the join rows: M = 0, coupled to nothing
     rhs[a - 2:a] = 0.0
     off[a - 3:a] = 0.0
-    if rhs.size == 1:  # gtsv rejects empty off-diagonals
+    if rhs.size == 1:  # no off-diagonals to pass to gtsv
         rhs /= diag
     elif rhs.size > 1:
-        # off is both the sub- and the superdiagonal, so gtsv must not overwrite it
-        if dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)[-1] != 0:
+        # off is the superdiagonal; the subdiagonal is a copy, as gtsv zeroes it
+        if _gtsv(off.copy(), diag, off, rhs) != 0:
             raise np.linalg.LinAlgError("singular spline system")
     del diag, off  # freed before the coefficients are formed
     b = M[:-1] * 2.0

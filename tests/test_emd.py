@@ -1,11 +1,18 @@
+import _ctypes
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
@@ -417,14 +424,14 @@ class TestOneSolve:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The order of every `dgtsv` system that `emd` solves."""
-        sizes = []
+        """The order of every tridiagonal system that `emd` solves."""
+        sizes, gtsv = [], emd._gtsv
 
-        def counted(dl, d, du, b, **kwargs):
+        def counted(dl, d, du, b):
             sizes.append(d.size)
-            return dgtsv(dl, d, du, b, **kwargs)
+            return gtsv(dl, d, du, b)
 
-        monkeypatch.setattr(emd, "dgtsv", counted)
+        monkeypatch.setattr(emd, "_gtsv", counted)
         return sizes
 
     def test_one_solve_per_mode_test_with_envelopes(self, solves, monkeypatch):
@@ -458,6 +465,132 @@ class TestOneSolve:
         expected = emd.spline_envelope(x1, y1, n) + emd.spline_envelope(x2, y2, n)
         got = emd._splines(np.r_[x1, x2], np.r_[y1, y2], x1.size, n)
         assert got.tobytes() == expected.tobytes()
+
+
+def captured_systems(call, *args):
+    """Copies of the (dl, d, du, b) of every system that `call(*args)` solves."""
+    systems, gtsv = [], emd._gtsv
+
+    def capture(dl, d, du, b):
+        systems.append(tuple(v.copy() for v in (dl, d, du, b)))
+        return gtsv(dl, d, du, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emd, "_gtsv", capture)
+        call(*args)
+    return systems
+
+
+def solved(gtsv, system):
+    """(info, solution bytes) of `gtsv` on a copy of `system`."""
+    dl, d, du, b = (v.copy() for v in system)
+    return gtsv(dl, d, du, b), b.tobytes()
+
+
+def scipy_gtsv(dl, d, du, b):
+    return dgtsv(dl, d, du, b, overwrite_d=1, overwrite_b=1)[-1]
+
+
+@st.composite
+def knot_sets(draw):
+    """(stacked knots, values, a) for `_splines`: one or two sets of 3..2,000
+    knots (a lone set of 3 has one unknown and no system) with integer or
+    non-integer spacings, the second set anywhere near the first."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.one_of(st.integers(3, 40), st.integers(3, 2000)),
+                          min_size=1, max_size=2))
+    spacing = draw(st.sampled_from(["integer", "real"]))
+    xs = []
+    for m in sizes:
+        h = rng.integers(1, 50, m) if spacing == "integer" else rng.uniform(0.01, 50.0, m)
+        xs.append(np.cumsum(h, dtype=np.float64) + rng.integers(-100, 100))
+    assume(sizes != [3] and (len(xs) == 1 or xs[0][-1] != xs[1][0]))
+    xk = np.concatenate(xs)
+    return xk, rng.standard_normal(xk.size) * 10.0 ** rng.uniform(-3.0, 3.0), sizes[0]
+
+
+class TestSolveRoutes:
+    """The spline system goes to LAPACK's dgtsv in numpy's OpenBLAS where
+    numpy has one, and to scipy's wrapper of the same routine elsewhere; both
+    routes give the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(knot_sets())
+    def test_selected_route_matches_scipy_bytes(self, case):
+        xk, yk, a = case
+        (system,) = captured_systems(emd._splines, xk, yk, a, 50)
+        assert solved(emd._gtsv, system) == solved(scipy_gtsv, system)
+
+    def test_long_noise_system_matches_scipy_bytes(self):
+        x = np.random.default_rng(5).standard_normal(2**16)
+        (system,) = captured_systems(emd.is_imf, x)
+        assert system[1].size > 40_000
+        assert solved(emd._gtsv, system) == solved(scipy_gtsv, system)
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(emd.__file__).parents[1])
+        code = ("import sys, emdclf.cli; print(emdclf.emd._gtsv.__name__); "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=60).stdout.split("\n")
+        if out[0] == "scipy_gtsv":
+            pytest.skip("numpy's OpenBLAS does not export dgtsv here")
+        assert out[:2] == ["numpy_gtsv", ""]
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    def test_fallback_is_scipy_with_the_same_bytes(self, tmp_path, monkeypatch, missing):
+        if missing == "symbol":  # a library that links no LAPACK: ctypes' own module
+            (tmp_path / "libfake_openblas64_.so").symlink_to(_ctypes.__file__)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].size)
+            return dgtsv(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+        fallback = emd._load_gtsv(str(tmp_path))
+        xk, yk = np.cumsum(np.arange(1.0, 40.0)), np.cos(np.arange(39.0))
+        expected = emd._splines(xk, yk, 20, 800)
+        monkeypatch.setattr(emd, "_gtsv", fallback)
+        assert emd._splines(xk, yk, 20, 800).tobytes() == expected.tobytes()
+        assert calls == [37]
+
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(emd, "_gtsv", lambda dl, d, du, b: 1)
+        with pytest.raises(np.linalg.LinAlgError, match="singular spline system"):
+            emd.spline_envelope(np.arange(5.0), np.cos(np.arange(5.0)), 10)
+
+    @pytest.mark.parametrize("bad", ["size", "dtype", "strided", "read_only"])
+    def test_numpy_route_rejects_bad_arrays(self, bad):
+        if emd._gtsv.__name__ != "numpy_gtsv":
+            pytest.skip("numpy's OpenBLAS does not export dgtsv here")
+        dl, d, du, b = np.full(4, 0.1), np.ones(5), np.full(4, 0.1), np.arange(5.0)
+        if bad == "size":
+            b = np.arange(6.0)
+        elif bad == "dtype":
+            d = d.astype(np.float32)
+        elif bad == "strided":
+            b = np.arange(10.0)[::2]
+        else:
+            b.flags.writeable = False
+        with pytest.raises((ValueError, TypeError)):
+            emd._gtsv(dl, d, du, b)
+
+    def test_threads_share_the_solve(self):
+        # systems of very different orders, so a size shared between calls shows
+        systems = [captured_systems(emd.is_imf, np.random.default_rng(s).standard_normal(m))[0]
+                   for s, m in enumerate((20, 3000, 40, 2000, 60, 1000, 100, 500))]
+        expected = [solved(emd._gtsv, system) for system in systems]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(lambda: [solved(emd._gtsv, s) for s in systems * 50])
+                           for _ in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == expected * 50 for r in results)
 
 
 def blocked(call, block, *args):

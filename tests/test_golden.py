@@ -17,8 +17,9 @@ sift counts, the model blobs and every other report file kept their bytes.
 `test_features.py` holds the features to the former kernel and moments
 within 1e-10 of each column's largest magnitude.
 
-The pins were made with numpy 2.4.6 and scipy 1.17.1 on OpenBLAS's SkylakeX
-kernel. Under `OPENBLAS_CORETYPE=Haswell` the `lda`, `logreg` and
+The pins were made with numpy 2.4.6 on OpenBLAS's SkylakeX kernel. The
+spline solve is LAPACK's dgtsv from numpy's OpenBLAS 0.3.31, whose bits equal
+those of scipy 1.17.1's, which made the pins before it. Under `OPENBLAS_CORETYPE=Haswell` the `lda`, `logreg` and
 `svm_linear` blob pins fail: their fitted weights move in the last bits (at
 most 2.8e-15 relative). Every report pin, dump pin and sift count holds.
 Given the same inputs, these calls return other bits under Haswell than
