@@ -8,6 +8,7 @@ exactly once.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -63,13 +64,24 @@ class CrossValidationResult(NamedTuple):
 
 
 def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
-    """Partition indices into k folds with per-class counts differing by <= 1."""
+    """Partition indices into k folds with per-class counts differing by <= 1.
+
+    The fold bytes depend on this order: the classes are visited in
+    ascending `np.unique(labels)` order, and each draws one permutation of
+    its row indices from one `default_rng(seed)`. The first class with fewer
+    than k rows raises TooFewPerClass; a k that is not an integer >= 2
+    raises ValueError.
+    """
     y = np.asarray(labels)
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if not isinstance(k, Integral) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     rng = np.random.default_rng(seed)
-    for cls in np.unique(y):
+    # np.unique's values without np.unique, which imports numpy.ma (numpy >= 2.3)
+    s = np.sort(y, axis=None)
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    for cls in s[first]:
         idx = np.flatnonzero(y == cls)
         if idx.size < k:
             raise TooFewPerClass(f"class {cls} has {idx.size} rows, need >= {k}")

@@ -1,5 +1,6 @@
 import _ctypes
 import io
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from scipy.linalg.lapack import dgtsv
 from emdclf import emd
 from emdclf.errors import InsufficientExtrema, TooShort
 from emdclf.signal import Signal
-from emdclf.synthetic import tone_burst
+from emdclf.synthetic import generate_corpus, tone_burst
 
 from conftest import _parent_spline_envelope, envelope_mean_from, mirrored_knots
 
@@ -527,15 +528,38 @@ class TestSolveRoutes:
         assert system[1].size > 40_000
         assert solved(emd._gtsv, system) == solved(scipy_gtsv, system)
 
-    def test_cli_import_loads_no_scipy(self):
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        """A whole extract -> evaluate -> decompose run in a fresh process
+        loads no scipy module and, where a bare numpy import does not, no
+        numpy.ma module (np.unique on numpy >= 2.3 imports it)."""
+        manifest = generate_corpus(tmp_path / "corpus", n_per_class=4, seed=7)
+        wav = next((tmp_path / "corpus").glob("*.wav"))
+        code = """if True:
+            import json, sys
+            import numpy
+            bare_ma = "numpy.ma" in sys.modules
+            from emdclf import cli, emd
+            manifest, wav, out = sys.argv[1:]
+            for argv in (["extract", "--manifest", manifest, "--out", out],
+                         ["evaluate", "--cache", out + "/features.csv", "--out", out, "--folds", "2"],
+                         ["decompose", "--wav", wav, "--out", out + "/dump.csv"]):
+                assert cli.main(argv) == 0, argv
+            loaded = sorted(sys.modules)
+            print(json.dumps({"gtsv": emd._gtsv.__name__, "bare_ma": bare_ma,
+                              "ma": [m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]],
+                              "scipy": [m for m in loaded if m.split(".")[0] == "scipy"]}))
+        """
         src = str(Path(emd.__file__).parents[1])
-        code = ("import sys, emdclf.cli; print(emdclf.emd._gtsv.__name__); "
-                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, check=True, timeout=60).stdout.split("\n")
-        if out[0] == "scipy_gtsv":
-            pytest.skip("numpy's OpenBLAS does not export dgtsv here")
-        assert out[:2] == ["numpy_gtsv", ""]
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code, str(manifest), str(wav),
+                               str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True, timeout=120)
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        if seen["bare_ma"] and seen["gtsv"] == "scipy_gtsv":
+            pytest.skip("import numpy loads numpy.ma, and numpy's OpenBLAS does not export dgtsv here")
+        if not seen["bare_ma"]:
+            assert seen["ma"] == []
+        if seen["gtsv"] != "scipy_gtsv":
+            assert (seen["gtsv"], seen["scipy"]) == ("numpy_gtsv", [])
 
     @pytest.mark.parametrize("missing", ["library", "symbol"])
     def test_fallback_is_scipy_with_the_same_bytes(self, tmp_path, monkeypatch, missing):

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from emdclf import classifiers
 from emdclf.classifiers import TrainConfig, fit, predict, score
@@ -25,6 +29,64 @@ def mann_whitney_auc(scores, labels):
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def reference_kfold(labels, k, seed):
+    """stratified_kfold as first written, on np.unique: the folds, or the
+    class that is too small for k."""
+    y = np.asarray(labels)
+    folds = [[] for _ in range(k)]
+    rng = np.random.default_rng(seed)
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        if idx.size < k:
+            return cls
+        perm = rng.permutation(idx)
+        for f in range(k):
+            folds[f].append(perm[f::k])
+    return [np.sort(np.concatenate(parts)) for parts in folds]
+
+
+@st.composite
+def labelled_rows(draw):
+    """(labels, k, seed): 1..5 classes of ints (negative ones included),
+    floats without NaN or strings, each with at least k rows, in a drawn
+    order; `short` takes one class down to 1..k-1 rows."""
+    values = draw(st.sampled_from([
+        st.integers(-2**63, 2**63 - 1),
+        st.floats(allow_nan=False),
+        st.text(max_size=4),
+    ]))
+    classes = draw(st.lists(values, min_size=1, max_size=5, unique_by=repr))  # 0.0 and -0.0 both
+    k = draw(st.integers(2, 5))
+    counts = [draw(st.integers(k, 3 * k)) for _ in classes]
+    if draw(st.booleans()):  # short
+        counts[draw(st.integers(0, len(classes) - 1))] = draw(st.integers(1, k - 1))
+    rows = [c for c, n in zip(classes, counts) for _ in range(n)]
+    labels = np.asarray(draw(st.permutations(rows)), dtype=np.asarray(classes).dtype)
+    return labels, k, draw(st.integers(0, 2**32 - 1))
+
+
+class TestStratifiedKfoldMatchesUnique:
+    """Classes come out in np.unique's values and order, so every class
+    draws the same permutation and every fold has the same bytes."""
+
+    @given(labelled_rows())
+    @example((np.array([1.0, -0.0, 1.0, 0.0, 1.0]), 3, 0))  # one class of two zeros, short
+    def test_same_folds_or_same_short_class(self, case):
+        labels, k, seed = case
+        expected = reference_kfold(labels, k, seed)
+        if isinstance(expected, list):
+            folds = stratified_kfold(labels, k, seed)
+            assert len(folds) == k
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                       for a, b in zip(folds, expected))
+        else:
+            with pytest.raises(TooFewPerClass) as err:
+                stratified_kfold(labels, k, seed)
+            named = re.fullmatch(r"class (.*) has \d+ rows, need >= \d+", str(err.value), re.S)[1]
+            # compared as a value: np.unique names either zero of a 0.0/-0.0 class
+            assert labels.dtype.type(named) == expected
 
 
 class TestStratifiedKfold:
@@ -62,9 +124,10 @@ class TestStratifiedKfold:
         with pytest.raises(TooFewPerClass):
             stratified_kfold(np.array([0, 0, 0, 1, 1]), 3, seed=0)
 
-    def test_k_below_two_rejected(self):
+    @pytest.mark.parametrize("k", [1, 2.0, 2.5])
+    def test_k_below_two_rejected(self, k):
         with pytest.raises(ValueError):
-            stratified_kfold(np.array([0, 1, 0, 1]), 1, seed=0)
+            stratified_kfold(np.array([0, 1, 0, 1]), k, seed=0)
 
 
 class TestConfusion:
