@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteFeature, SingleClassData
+from .errors import (DimensionMismatch, NonFiniteFeature, SingleClassData,
+                     check_int, check_labels)
 
 LDA_RIDGE = 1e-6
 LOGREG_TOL = 1e-8
@@ -46,19 +46,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("k", "n_trees", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_int("k", self.k, 1)
+        check_int("n_trees", self.n_trees, 1)
+        check_int("seed", self.seed)
         if not 0 < self.c < np.inf:  # NaN fails
             raise ValueError("c must be > 0 and finite")
         if not 0 <= self.lam < np.inf:
             raise ValueError("lambda must be >= 0 and finite")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -71,21 +65,20 @@ class TrainedModel:
 
 
 def _validate_training(data):
-    X = np.asarray(data.features, dtype=np.float64)
-    y = np.asarray(data.labels, dtype=np.int64)
+    X, y = np.asarray(data.features, dtype=np.float64), check_labels(data.labels)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DimensionMismatch("features must be (n, d) with parallel labels")
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeature("training features contain NaN/Inf")
-    n1 = int((y == 1).sum())
-    n0 = y.size - n1
-    if n0 == 0 or n1 == 0:
-        raise SingleClassData(f"need both classes, got {n0} / {n1} rows")
+    n1 = int(y.sum())  # labels are 0 or 1
+    if n1 in (0, y.size):
+        raise SingleClassData(f"need both classes, got {y.size - n1} / {n1} rows")
     return X, y
 
 
 def fit(config: TrainConfig, data) -> TrainedModel:
-    """Train one model. Raises DimensionMismatch, SingleClassData or NonFiniteFeature."""
+    """Train one model. Raises DimensionMismatch, SingleClassData or
+    NonFiniteFeature, and ValueError for a label other than 0 or 1."""
     X, y = _validate_training(data)
     params = _IMPL[config.algorithm][0](config, X, y)
     return TrainedModel(config.algorithm, X.shape[1], params)
@@ -368,10 +361,10 @@ def _trees_fit(trees, d) -> bool:
     while ok and stack:
         node = stack.pop()
         if "label" in node:
-            ok = type(node["label"]) is int and node["label"] in (0, 1)
+            check_int("leaf label", node["label"], 0, 1)
         else:
-            ok = (type(node["feature"]) is int and 0 <= node["feature"] < d
-                  and isinstance(node["threshold"], (int, float)) and _finite(node["threshold"]))
+            check_int("split feature", node["feature"], 0, d - 1)
+            ok = isinstance(node["threshold"], (int, float)) and _finite(node["threshold"])
             stack += [node["left"], node["right"]]
     return ok
 
@@ -400,16 +393,17 @@ def model_from_json(text: str) -> TrainedModel:
         if version != _FORMAT_VERSION or algorithm not in ALGORITHMS:
             raise ValueError(f"unsupported {algorithm!r} blob version {version!r}")
         d, params = blob["feature_dim"], blob["params"]
+        check_int("feature_dim", d, 1)
         if algorithm == "knn":
-            X, y, k = params["X"], params["y"], params["k"]
-            ok = (type(k) is int and k >= 1 and np.ndim(y) == 1 and np.shape(X) == (len(y), d)
-                  and _finite(X, y) and np.isin(y, (0, 1)).all())
+            X, y = params["X"], check_labels(params["y"])
+            check_int("k", params["k"], 1)
+            ok = np.ndim(y) == 1 and np.shape(X) == (len(y), d) and _finite(X)
         elif algorithm == "bagged_trees":
             ok = _trees_fit(params["trees"], d)
         else:
             ok = np.shape(params["w"]) == (d,) and _finite(params["w"], params["b"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed model blob: {exc!r}") from exc
-    if not (ok and type(d) is int and d >= 1):
+    if not ok:
         raise ValueError(f"{algorithm} blob params are invalid for feature_dim {d!r}")
     return TrainedModel(algorithm, d, params)

@@ -8,9 +8,9 @@ evaluate   --cache F --out DIR [--folds 5] [--seed 42] [--positive 1]
 decompose  --wav F --out CSV [--max-imfs 5]
 version
 
-Exit codes: 0 ok, 2 missing input file, manifest/config problem or a path
-that cannot be read or written, 3 audio/extraction failure, 4 evaluation data
-problem, 1 anything unexpected. Every failure prints `error: <Class>: <message>`.
+Exit codes: 0 ok, 2 missing input file, manifest/config problem or a path that cannot
+be read or written, 3 audio/extraction failure, 4 evaluation data problem, 1 anything
+unexpected. Failures print `error: <Class>: <message>`; argparse's print usage (exit 2).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import sys
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +27,7 @@ from .emd import DEFAULT_MAX_IMFS, decompose, write_decomposition_csv
 from .errors import (CacheFormatError, DegenerateSignal, EmptyAudio, Error,
                      MalformedWav, ManifestFormatError, MissingFile,
                      NoUsableAudio, SingleClassData, TooFewPerClass,
-                     UnsupportedEncoding)
+                     UnsupportedEncoding, check_int)
 from .evaluation import (cross_validate, format_confusion_block, format_summary,
                          rank_rows, write_metrics_csv, write_roc_csv)
 from .features import (N_BLOCKS, LabeledDataset, extract_feature_vector,
@@ -70,15 +69,9 @@ class RunConfig:
         self.out_dir = Path(self.out_dir)
         if self.manifest is not None:
             self.manifest = Path(self.manifest)
-        for name in ("folds", "max_imfs", "positive"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if not 1 <= self.max_imfs <= 10:
-            raise ValueError("max-imfs must be in [1, 10]")
-        if self.positive not in (0, 1):
-            raise ValueError("positive must be 0 or 1")
+        check_int("folds", self.folds, 2)
+        check_int("max_imfs", self.max_imfs, 1, 10)
+        check_int("positive", self.positive, 0, 1)
         self.train_configs()  # TrainConfig checks k, c, lambda, trees and seed
 
     def train_configs(self) -> list[TrainConfig]:

@@ -26,11 +26,10 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass, field
 from glob import glob
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InsufficientExtrema, TooShort
+from .errors import InsufficientExtrema, TooShort, check_int
 from .signal import Signal
 
 #: envelope-mean symmetry bound, relative to peak amplitude
@@ -141,8 +140,8 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        When the knot arrays differ in length, when `n` is negative, when a
-        knot is NaN or the knot span overflows, when the knots are not
+        When the knot arrays differ in length, when `n` is not an integer >= 0,
+        when a knot is NaN or the knot span overflows, when the knots are not
         strictly increasing, when a slope between neighbouring knots is
         infinite, or when the system for the interior second derivatives
         (three or more knots) holds an inf or a NaN.
@@ -162,8 +161,7 @@ def spline_envelope(knot_idx, knot_val, n: int) -> np.ndarray:
         raise TooShort(f"need >= 2 knots, got {xk.size}")
     if xk.size != yk.size:
         raise ValueError("knot index/value lengths differ")
-    if n < 0:
-        raise ValueError(f"output length must be >= 0, got {n}")
+    check_int("output length n", n)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         span, h = xk[-1] - xk[0], np.diff(xk)
     if not span < np.inf:  # also true for a NaN end knot
@@ -360,12 +358,6 @@ def is_imf(samples) -> ImfCheck:
     return _check_candidate(np.asarray(samples, dtype=np.float64))[0]
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not a non-negative integer (2.5 or -1)."""
-    if not isinstance(value, Integral) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 def sift(samples, max_iters: int = MAX_SIFT_ITERS):
     """Extract one mode candidate by repeated envelope-mean subtraction.
 
@@ -391,7 +383,7 @@ def sift(samples, max_iters: int = MAX_SIFT_ITERS):
     Each new candidate is written over the envelope it subtracts, so one
     envelope is alive per mode test and no subtraction allocates a new array.
     """
-    _check_count("max_iters", max_iters)
+    check_int("max_iters", max_iters)
     h = np.array(samples, dtype=np.float64)
     check, envelope = _check_candidate(h)
     iters = 0
@@ -414,7 +406,7 @@ def decompose(signal: Signal, max_imfs: int = DEFAULT_MAX_IMFS) -> ImfDecomposit
     stored modes plus the residual always sum back to the input, which is
     never modified. `max_imfs` is a non-negative integer (else ValueError).
     """
-    _check_count("max_imfs", max_imfs)
+    check_int("max_imfs", max_imfs)
     residual = signal.samples.copy()
     imfs: list[np.ndarray] = []
     counts: list[int] = []

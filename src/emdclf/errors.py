@@ -1,9 +1,13 @@
-"""Exception hierarchy for the whole toolkit.
+"""Exception hierarchy for the whole toolkit, and its shared argument rules.
 
 Everything raised on purpose derives from :class:`Error`, so callers (and the
 command line front-end, which maps error classes to stable exit codes) can
-catch one base type.
+catch one base type. `check_int` and `check_labels` are the shared argument rules.
 """
+
+from numbers import Integral
+
+import numpy as np
 
 
 class Error(Exception):
@@ -79,3 +83,19 @@ class NoUsableAudio(Error):
 
 class CacheFormatError(Error):
     """Feature cache CSV does not match the documented format."""
+
+
+# --- shared argument rules --------------------------------------------------
+
+def check_int(name: str, value, low=0, high=np.inf) -> None:
+    """Raise ValueError unless `value` is a `numbers.Integral` in [low, high]."""
+    if not (isinstance(value, Integral) and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def check_labels(labels) -> np.ndarray:
+    """`labels` as int64; ValueError unless each is 0 or 1, checked before the cast."""
+    y = np.asarray(labels)
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return y.astype(np.int64, copy=False)

@@ -8,13 +8,13 @@ exactly once.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from . import classifiers
-from .errors import DimensionMismatch, Empty, SingleClassData, TooFewPerClass
+from .errors import (DimensionMismatch, Empty, SingleClassData, TooFewPerClass,
+                     check_int, check_labels)
 from .features import LabeledDataset, write_csv
 
 
@@ -70,11 +70,12 @@ def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
     ascending `np.unique(labels)` order, and each draws one permutation of
     its row indices from one `default_rng(seed)`. The first class with fewer
     than k rows raises TooFewPerClass; a k that is not an integer >= 2
-    raises ValueError.
+    raises ValueError, and no labels at all raise Empty.
     """
     y = np.asarray(labels)
-    if not isinstance(k, Integral) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    check_int("k", k, 2)
+    if y.size == 0:
+        raise Empty("no labels to split into folds")
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     rng = np.random.default_rng(seed)
     # np.unique's values without np.unique, which imports numpy.ma (numpy >= 2.3)
@@ -165,9 +166,10 @@ def cross_validate(config, data, k: int = 5, seed: int = 0,
     Each fold is scored once; its hard labels are `score >= 0.5`, which is
     how `classifiers.predict` is defined. For `positive=0` the pooled labels,
     hard labels and scores are then flipped once, so a 0.5 score still predicts 1.
+    `positive` must be the integer 0 or 1, and every label 0 or 1 (else ValueError).
     """
-    X = np.asarray(data.features, dtype=np.float64)
-    y = np.asarray(data.labels, dtype=np.int64)
+    check_int("positive", positive, 0, 1)
+    X, y = np.asarray(data.features, dtype=np.float64), check_labels(data.labels)
     folds = stratified_kfold(y, k, seed)
 
     y_true_parts, score_parts = [], []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emd import DEFAULT_MAX_IMFS, ImfDecomposition, count_zero_crossings
-from .errors import CacheFormatError, TooShort
+from .errors import CacheFormatError, TooShort, check_labels
 
 FEATURE_NAMES = ("mean_abs", "std", "rms", "skewness", "kurtosis",
                  "zcr_hz", "entropy_bits", "hjorth_mobility", "hjorth_complexity")
@@ -43,7 +43,7 @@ class FeatureVector:
 
 @dataclass
 class LabeledDataset:
-    """Feature rows with parallel binary labels (0/1)."""
+    """Feature rows with parallel labels, each 0 or 1 (else ValueError, before any cast)."""
 
     features: np.ndarray          # (n, d)
     labels: np.ndarray            # (n,)
@@ -51,13 +51,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = check_labels(self.labels)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must parallel the feature rows")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
         if self.source_ids is not None and len(self.source_ids) != len(self.labels):
             raise ValueError("source_ids must parallel the feature rows")
 
@@ -70,7 +68,7 @@ def zero_crossing_rate(samples, sample_rate_hz) -> float:
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 2:
         raise TooShort(f"need >= 2 samples, got {x.size}")
-    if sample_rate_hz <= 0:
+    if not sample_rate_hz > 0:  # NaN fails
         raise ValueError("sample rate must be positive")
     return count_zero_crossings(x) * sample_rate_hz / (x.size - 1)
 

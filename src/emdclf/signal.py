@@ -35,7 +35,7 @@ class Signal:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("a signal needs at least 2 samples")
-        if self.sample_rate_hz <= 0:
+        if not self.sample_rate_hz > 0:  # NaN fails
             raise ValueError("sample rate must be positive")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")

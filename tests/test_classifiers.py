@@ -119,6 +119,13 @@ class TestFitValidation:
         with pytest.raises(DimensionMismatch):
             fit(TrainConfig("knn"), data)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_labels_other_than_zero_or_one_rejected(self, algorithm):
+        # a label 2 would give kNN scores above 1; a plain namespace skips LabeledDataset
+        data = SimpleNamespace(features=np.arange(6.0)[:, None], labels=np.array([0, 1, 2] * 2))
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit(TrainConfig(algorithm, k=3), data)
+
     def test_predict_dimension_mismatch(self):
         model = fit(TrainConfig("knn"), dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 0, 1, 1]))
         with pytest.raises(DimensionMismatch):

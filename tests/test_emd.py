@@ -338,8 +338,9 @@ class TestSplineEnvelope:
     @pytest.mark.parametrize("xk, yk", [([0, 5], [0.0, 1.0]),
                                         ([0, 2, 5, 9], [0.0, 1.0, -1.0, 2.0])])
     def test_negative_length_rejected(self, xk, yk):
-        with pytest.raises(ValueError, match="output length"):
-            emd.spline_envelope(xk, yk, -1)
+        for n in (-1, 2.5, 10.0):
+            with pytest.raises(ValueError, match="output length"):
+                emd.spline_envelope(xk, yk, n)
 
     def test_zero_length_is_empty(self):
         env = emd.spline_envelope([0, 2, 5, 9], [0.0, 1.0, -1.0, 2.0], 0)

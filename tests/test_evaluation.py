@@ -129,6 +129,10 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             stratified_kfold(np.array([0, 1, 0, 1]), k, seed=0)
 
+    def test_no_labels_rejected(self):
+        with pytest.raises(Empty):
+            stratified_kfold([], 2, seed=0)
+
 
 class TestConfusion:
     def test_perfect(self):
@@ -284,6 +288,11 @@ class TestCrossValidate:
         b = cross_validate(config, gaussian_data, k=5, seed=7)
         assert a.confusion == b.confusion
         assert np.array_equal(a.roc.thresholds, b.roc.thresholds)
+
+    @pytest.mark.parametrize("positive", [2, -1, "0", 1.0, None])
+    def test_positive_must_be_zero_or_one(self, gaussian_data, positive):
+        with pytest.raises(ValueError, match=r"positive must be an integer in \[0, 1\]"):
+            cross_validate(TrainConfig("lda"), gaussian_data, k=5, seed=42, positive=positive)
 
     def test_positive_zero_swaps_recall_and_specificity(self, gaussian_data):
         a = cross_validate(TrainConfig("lda"), gaussian_data, k=5, seed=42, positive=1)

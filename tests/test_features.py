@@ -86,8 +86,9 @@ class TestZeroCrossingRate:
             zero_crossing_rate([1.0], 10)
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError, match="sample rate must be positive"):
-            zero_crossing_rate([1.0, -1.0, 1.0], 0)
+        for rate in (0, math.nan):
+            with pytest.raises(ValueError, match="sample rate must be positive"):
+                zero_crossing_rate([1.0, -1.0, 1.0], rate)
 
 
 class TestShannonEntropy:
@@ -435,6 +436,8 @@ class TestLabeledDataset:
     def test_binary_labels_enforced(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 2]))
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):  # not truncated to 0, 1
+            LabeledDataset(np.zeros((2, 2)), [0.5, 1.7])
 
     def test_one_dimensional_features_rejected(self):
         with pytest.raises(ValueError, match="2-D"):

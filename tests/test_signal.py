@@ -158,8 +158,9 @@ class TestSignal:
             Signal(np.array([1.0]), 8000)
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            Signal(np.array([1.0, 2.0]), 0)
+        for rate in (0, float("nan")):
+            with pytest.raises(ValueError, match="sample rate must be positive"):
+                Signal(np.array([1.0, 2.0]), rate)
 
     def test_nonfinite(self):
         with pytest.raises(ValueError):
