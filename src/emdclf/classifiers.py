@@ -115,6 +115,15 @@ def score(model: TrainedModel, x):
     return float(s[0]) if single else s
 
 
+def column_scaling(X):
+    """Mean and spread (population standard deviation) of each training
+    column, with a zero spread set to 1 so a constant column maps to 0."""
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    return mu, sd
+
+
 # --- knn ----------------------------------------------------------------------
 
 def _fit_knn(config, X, y):
@@ -232,9 +241,7 @@ def _fit_svm(config, X, y):
     # Coordinate descent stalls when columns differ in scale by orders of
     # magnitude, so optimize on standardized columns and fold the affine map
     # back into the returned raw-space weights.
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd[sd == 0.0] = 1.0
+    mu, sd = column_scaling(X)
     Xa = np.hstack([(X - mu) / sd, np.ones((n, 1))])  # bias as a constant feature
     yy = (2 * y - 1).astype(np.float64)
     qii = (Xa * Xa).sum(axis=1)

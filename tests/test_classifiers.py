@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emdclf.classifiers import (ALGORITHMS, TrainConfig, TrainedModel,
-                                _gini_best_split, _grow_tree, fit,
+                                _gini_best_split, _grow_tree, column_scaling, fit,
                                 logreg_gradient, logreg_objective,
                                 model_from_json, model_to_json, predict, score)
 from emdclf.errors import (DimensionMismatch, NonFiniteFeature, SingleClassData)
@@ -282,6 +282,11 @@ class TestLogreg:
 
 
 class TestSvmLinear:
+    def test_column_scaling_sets_a_zero_spread_to_one(self):
+        mu, sd = column_scaling(np.array([[0.0, 5.0], [4.0, 5.0]]))
+        assert mu.tolist() == [2.0, 5.0]
+        assert sd.tolist() == [2.0, 1.0]  # the constant column maps to 0, not NaN
+
     def test_two_point_max_margin(self):
         model = fit(TrainConfig("svm_linear", c=1000.0),
                     dataset([[-1.0], [1.0]], [0, 1]))
