@@ -13,6 +13,11 @@ discriminant analysis (pooled covariance + ridge), logistic regression
 (damped Newton, L2), linear soft-margin SVM (dual coordinate descent) and
 bagged CART trees (Gini, midpoint thresholds, grown pure). A split tie goes
 to the lowest feature, then threshold; a leaf takes its majority, a tie is 1.
+
+No fit or score calls BLAS or LAPACK. Products are `np.einsum` (unoptimized,
+so numpy's own loops) or reductions over elementwise products, and the LDA
+and Newton systems go through `_solve`, a plain elimination. So the fitted
+weights have the same bits whichever kernel OpenBLAS selects for the CPU.
 """
 
 from __future__ import annotations
@@ -115,6 +120,35 @@ def score(model: TrainedModel, x):
     return float(s[0]) if single else s
 
 
+def _dot(X, w):
+    """`X @ w` for a vector w: one sum over the last axis of X, without BLAS."""
+    return np.einsum("...i,i->...", X, w)
+
+
+def _solve(A, b):
+    """x with A x = b, by Gaussian elimination with partial pivoting.
+
+    numpy row operations in place of LAPACK's getrf/getrs, so the bits do not
+    depend on the BLAS kernel. Raises np.linalg.LinAlgError on a zero pivot,
+    as np.linalg.solve does.
+    """
+    m = b.size
+    M = np.column_stack([A, b])  # augmented: b is eliminated with A
+    for k in range(m):
+        p = k + np.abs(M[k:, k]).argmax()
+        if p != k:
+            M[[k, p]] = M[[p, k]]
+        row, below = M[k, k:], M[k + 1:, k:]
+        if row[0] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        below -= (below[:, 0] / row[0])[:, None] * row
+    x = M[:, m].copy()
+    for k in range(m - 1, -1, -1):  # back substitution, one column at a time
+        x[k] /= M[k, k]
+        x[:k] -= M[:k, k] * x[k]
+    return x
+
+
 def column_scaling(X):
     """Mean and spread (population standard deviation) of each training
     column, with a zero spread set to 1 so a constant column maps to 0."""
@@ -134,7 +168,8 @@ def _knn_score(params, X):
     T, yt = params["X"], params["y"]
     k = min(params["k"], T.shape[0])
     # squared distances rank the same as true Euclidean ones
-    d2 = (T * T).sum(axis=1)[:, None] - 2.0 * (T @ X.T) + (X * X).sum(axis=1)[None, :]
+    d2 = ((T * T).sum(axis=1)[:, None] - 2.0 * np.einsum("ik,jk->ij", T, X)
+          + (X * X).sum(axis=1)[None, :])
     order = np.argsort(d2, axis=0, kind="stable")[:k, :]  # stable: index breaks distance ties
     votes = yt[order]
     ones = votes.sum(axis=0)
@@ -152,11 +187,11 @@ def _fit_lda(config, X, y):
     mu1 = X[y == 1].mean(axis=0)
     c0 = X[y == 0] - mu0
     c1 = X[y == 1] - mu1
-    cov = (c0.T @ c0 + c1.T @ c1) / (X.shape[0] - 2)
+    cov = (np.einsum("ki,kj->ij", c0, c0) + np.einsum("ki,kj->ij", c1, c1)) / (X.shape[0] - 2)
     cov = cov + (LDA_RIDGE * np.trace(cov) / d) * np.eye(d)
-    w = np.linalg.solve(cov, mu1 - mu0)
+    w = _solve(cov, mu1 - mu0)
     prior1 = (y == 1).mean()
-    b = -0.5 * (mu1 + mu0) @ w + np.log(prior1 / (1.0 - prior1))
+    b = -0.5 * _dot(mu1 + mu0, w) + np.log(prior1 / (1.0 - prior1))
     return {"w": w, "b": float(b)}
 
 
@@ -170,7 +205,7 @@ def _sigmoid(z):
 
 
 def _linear_score(params, X):
-    z = X @ params["w"] + params["b"]
+    z = _dot(X, params["w"]) + params["b"]
     s = _sigmoid(z)
     # sigmoid rounds to exactly 0.5 for tiny negative z; keep those below 0.5
     s[(z < 0.0) & (s == 0.5)] = np.nextafter(0.5, 0.0)
@@ -181,16 +216,16 @@ def _linear_score(params, X):
 
 def logreg_objective(w, b, X, y, lam):
     """Regularized negative log-likelihood (weights penalized, bias not)."""
-    z = X @ w + b
+    z = _dot(X, w) + b
     nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
-    return nll + 0.5 * lam * float(w @ w)
+    return nll + 0.5 * lam * float(_dot(w, w))
 
 
 def logreg_gradient(w, b, X, y, lam):
     """Gradient of logreg_objective wrt (w, b), concatenated."""
-    p = _sigmoid(X @ w + b)
+    p = _sigmoid(_dot(X, w) + b)
     r = p - y
-    return np.concatenate([X.T @ r + lam * w, [r.sum()]])
+    return np.concatenate([np.einsum("ki,k->i", X, r) + lam * w, [r.sum()]])
 
 
 def _fit_logreg(config, X, y):
@@ -202,20 +237,20 @@ def _fit_logreg(config, X, y):
     f = logreg_objective(w, b, X, yf, lam)
     for _ in range(LOGREG_MAX_ITERS):
         g = logreg_gradient(w, b, X, yf, lam)
-        if np.linalg.norm(g) <= LOGREG_TOL:
+        if np.sqrt(_dot(g, g)) <= LOGREG_TOL:
             break
-        p = _sigmoid(X @ w + b)
+        p = _sigmoid(_dot(X, w) + b)
         r = p * (1.0 - p)
         H = np.empty((d + 1, d + 1))
         Xr = X * r[:, None]
-        H[:d, :d] = X.T @ Xr + lam * np.eye(d)
+        H[:d, :d] = np.einsum("ki,kj->ij", X, Xr) + lam * np.eye(d)
         H[:d, d] = Xr.sum(axis=0)
         H[d, :d] = H[:d, d]
         H[d, d] = r.sum()
-        step = np.linalg.solve(H, g)
+        step = _solve(H, g)
         # damped: halve until the objective actually decreases
         t = 1.0
-        gs = float(g @ step)
+        gs = float(_dot(g, step))
         for _ in range(60):
             w_new = w - t * step[:d]
             b_new = b - t * step[d]
@@ -231,8 +266,8 @@ def _fit_logreg(config, X, y):
 
 def svm_objective(w_aug, Xa, yy, c):
     """Primal value: 0.5 ||w||^2 + C * sum hinge (bias inside the augmented w)."""
-    margins = 1.0 - yy * (Xa @ w_aug)
-    return 0.5 * float(w_aug @ w_aug) + c * float(np.clip(margins, 0.0, None).sum())
+    margins = 1.0 - yy * _dot(Xa, w_aug)
+    return 0.5 * float(_dot(w_aug, w_aug)) + c * float(np.clip(margins, 0.0, None).sum())
 
 
 def _fit_svm(config, X, y):
@@ -247,17 +282,23 @@ def _fit_svm(config, X, y):
     qii = (Xa * Xa).sum(axis=1)
     alpha = np.zeros(n)
     w = np.zeros(Xa.shape[1])
+    # the coordinate loop reads rows as views and y, q, alpha as Python floats,
+    # which cost less per step than numpy scalars and round the same
+    coords = list(zip(range(n), Xa, yy.tolist(), qii.tolist()))
+    buf = np.empty_like(w)  # holds w * row before its sum
     for _ in range(SVM_MAX_EPOCHS):
         changed = 0.0
-        for i in range(n):  # deterministic cyclic order, never shuffled
-            g = yy[i] * (w @ Xa[i]) - 1.0
-            a_old = alpha[i]
-            a_new = min(max(a_old - g / qii[i], 0.0), c)
+        a = alpha.tolist()
+        for i, row, yi, qi in coords:  # deterministic cyclic order, never shuffled
+            g = yi * float(np.add.reduce(np.multiply(w, row, out=buf))) - 1.0
+            a_old = a[i]
+            a_new = min(max(a_old - g / qi, 0.0), c)
             if a_new != a_old:
-                w += (a_new - a_old) * yy[i] * Xa[i]
-                alpha[i] = a_new
+                w += (a_new - a_old) * yi * row
+                a[i] = a_new
                 changed = max(changed, abs(a_new - a_old))
-        dual = alpha.sum() - 0.5 * float(w @ w)
+        alpha = np.array(a)
+        dual = alpha.sum() - 0.5 * float(_dot(w, w))
         if svm_objective(w, Xa, yy, c) - dual <= SVM_GAP_TOL:
             break
         if changed == 0.0:

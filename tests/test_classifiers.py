@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emdclf.classifiers import (ALGORITHMS, TrainConfig, TrainedModel,
-                                _gini_best_split, _grow_tree, column_scaling, fit,
+                                _gini_best_split, _grow_tree, _solve, column_scaling, fit,
                                 logreg_gradient, logreg_objective,
                                 model_from_json, model_to_json, predict, score)
 from emdclf.errors import (DimensionMismatch, NonFiniteFeature, SingleClassData)
@@ -200,6 +200,31 @@ class TestKnn:
         d = np.sqrt(d2)
         assert np.array_equal(np.argsort(d2, kind="stable"),
                               np.argsort(d, kind="stable"))
+
+
+class TestSolve:
+    @pytest.mark.parametrize("m", [1, 2, 7, 46])
+    def test_agrees_with_lapack(self, m):
+        rng = np.random.default_rng(m)
+        A, b = rng.standard_normal((m, m)), rng.standard_normal(m)
+        before = A.copy(), b.copy()
+        x = _solve(A, b)
+        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=1e-12)
+        assert np.array_equal(A, before[0]) and np.array_equal(b, before[1])
+
+    def test_zero_on_the_diagonal_is_pivoted_away(self):
+        A = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+        assert _solve(A, np.array([3.0, 4.0, 8.0])).tolist() == [2.0, 3.0, 2.0]
+
+    @pytest.mark.parametrize("A", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_raises_like_numpy(self, A):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(A, np.ones(A.shape[0]))
+
+    def test_lda_on_constant_features_raises(self):
+        # a zero pooled covariance gets a zero ridge, so the system is singular
+        with pytest.raises(np.linalg.LinAlgError):
+            fit(TrainConfig("lda"), dataset(np.ones((6, 3)), [0, 0, 0, 1, 1, 1]))
 
 
 class TestLda:

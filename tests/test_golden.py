@@ -17,21 +17,29 @@ sift counts, the model blobs and every other report file kept their bytes.
 `test_features.py` holds the features to the former kernel and moments
 within 1e-10 of each column's largest magnitude.
 
-The pins were made with numpy 2.4.6 on OpenBLAS's SkylakeX kernel. The
-spline solve is LAPACK's dgtsv from numpy's OpenBLAS 0.3.31, whose bits equal
-those of scipy 1.17.1's, which made the pins before it. Under `OPENBLAS_CORETYPE=Haswell` the `lda`, `logreg` and
-`svm_linear` blob pins fail: their fitted weights move in the last bits (at
-most 2.8e-15 relative). Every report pin, dump pin and sift count holds.
-Given the same inputs, these calls return other bits under Haswell than
-under SkylakeX: LDA's `np.linalg.solve`, logreg's `np.linalg.solve` and its
-gradient's `X.T @ r`, and the SVM's `w @ Xa[i]`. With those four computed
-by numpy reductions and a plain elimination, the three blobs are the same
-under both kernels. Under Prescott and Sandybridge the other products move
-too (LDA's `c0.T @ c0`, logreg's `X @ w` and `X.T @ Xr`); with every product,
-dot and solve in the three fits replaced, all four kernels give the same blobs.
+The pins were made with numpy 2.4.6. The spline solve is LAPACK's dgtsv
+from numpy's OpenBLAS 0.3.31, whose bits equal those of scipy 1.17.1's,
+which made the pins before it.
+
+The model blobs do not depend on the kernel OpenBLAS selects for the CPU:
+no fit or score calls BLAS or LAPACK, so the blobs and the pooled scores
+are the same under SkylakeX, Haswell, Sandybridge and Prescott, which
+`test_fits_do_not_depend_on_blas_kernel` checks. The `lda`, `logreg` and
+`svm_linear` blobs were re-pinned once, on purpose, when the fits stopped
+calling BLAS and LAPACK; before that they moved in their last bits under
+another kernel. `logreg` still depends on numpy's own CPU dispatch: its
+blob moves when numpy's AVX-512 loops are disabled, most likely through the
+dispatched `exp` and `logaddexp` of its sigmoid and objective. The scores of
+all three linear models pass through that `exp` as well.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+from glob import glob
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,9 +97,9 @@ LONG_DUMP_SHA256 = "16f427075a2c1e0eecbb56fb6922a68f2b7a1e84879fcb83f62c481f313c
 # model_to_json of TrainConfig(algorithm, seed=9) on two_gaussians(seed=13, n_per_class=25)
 BLOB_SHA256 = {
     "knn": "33c3f2daaffa7545c992c982bfa75e7e69358eeaa972c72eaf9d0be3ff6694da",
-    "lda": "0589d17e7e67a2b43d5c4c31347939ff245598722bd33e79612fd06ffdb8a8c0",
-    "logreg": "53e8e03ed7712881ad0f92ca40531aee528e1c11428a30ea6a0e0d76c813112e",
-    "svm_linear": "6c2c9823c261bc89c51e4c73abbcd0ebeff1c4267f58fbe5e52bf7c54f29add2",
+    "lda": "dae6c39127c14ccb508f309845a09b72ad06b28ec5d07cf3e6c702c451dccf6b",
+    "logreg": "e750c9545749ef6cca1a678ce509e6005710e170c0f7cea3c8485f39522ee6f1",
+    "svm_linear": "438c973d415b2276b4846fc3a011ef94adbac1580399f1b2594d6bec90e9fccc",
     "bagged_trees": "61b20730915cda4d7fe7504c9c3c63039a54e32f94ebbb640fd233cab0ffa70e",
 }
 
@@ -159,3 +167,74 @@ def test_model_blob_bytes(algorithm):
     model = fit(TrainConfig(algorithm, seed=9), two_gaussians(seed=13, n_per_class=25))
     digest = hashlib.sha256(model_to_json(model).encode()).hexdigest()
     assert digest == BLOB_SHA256[algorithm]
+
+
+# Prints a digest of each algorithm's blob fit (as pinned above) and of its
+# pooled five-fold scores on 45 overlapping features, where every product
+# runs over 45 or more terms.
+_FITS = """
+import hashlib
+import numpy as np
+from conftest import two_gaussians
+from emdclf.classifiers import ALGORITHMS, TrainConfig, fit, model_to_json, score
+from emdclf.evaluation import stratified_kfold
+from emdclf.features import LabeledDataset
+
+wide = two_gaussians(seed=5, n_per_class=40, dim=45, offset=0.3)
+for name in ALGORITHMS:
+    config = TrainConfig(name, seed=9)
+    blob = model_to_json(fit(config, two_gaussians(seed=13, n_per_class=25)))
+    print(name, "blob", hashlib.sha256(blob.encode()).hexdigest())
+    parts = []
+    for fold in stratified_kfold(wide.labels, 5, 0):
+        train = np.ones(wide.labels.size, dtype=bool)
+        train[fold] = False
+        model = fit(config, LabeledDataset(wide.features[train], wide.labels[train]))
+        parts.append(score(model, wide.features[fold]))
+    print(name, "scores", hashlib.sha256(np.concatenate(parts).tobytes()).hexdigest())
+"""
+
+_CPU_ENV = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+# OPENBLAS_CORETYPE only selects a kernel in numpy's own OpenBLAS (found as
+# emd._load_gtsv finds it), and Prescott runs on any x86-64 CPU
+needs_openblas_x86 = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64")
+    or not glob(np.__path__[0] + ".libs/*openblas64_*"),
+    reason="needs x86-64 and the OpenBLAS in numpy's wheel")
+
+
+def _fit_digests(**cpu_env):
+    """{(algorithm, "blob" or "scores"): digest} from a fresh process whose
+    kernel and dispatch settings are `cpu_env` and nothing inherited."""
+    env = {k: v for k, v in os.environ.items() if k not in _CPU_ENV}
+    env.update(cpu_env)
+    tests = Path(__file__).parent
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    out = subprocess.run([sys.executable, "-c", _FITS], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    return {tuple(line.split()[:2]): line.split()[2] for line in out.splitlines()}
+
+
+@pytest.fixture(scope="module")
+def default_digests():
+    return _fit_digests()
+
+
+@needs_openblas_x86
+def test_fits_do_not_depend_on_blas_kernel(default_digests):
+    assert len(default_digests) == 2 * len(ALGORITHMS)
+    assert _fit_digests(OPENBLAS_CORETYPE="Prescott") == default_digests
+
+
+@needs_openblas_x86
+def test_fits_do_not_depend_on_numpy_dispatch(default_digests):
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    lowered = _fit_digests(NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    # logreg's fit and every linear model's score call numpy's dispatched exp
+    exp_free = [("lda", "blob"), ("svm_linear", "blob"), ("knn", "blob"), ("knn", "scores"),
+                ("bagged_trees", "blob"), ("bagged_trees", "scores")]
+    assert [lowered[key] for key in exp_free] == [default_digests[key] for key in exp_free]
