@@ -49,15 +49,16 @@ class TrainConfig:
     seed: int = 0               # bootstrap RNG seed
 
     def __post_init__(self):
+        # each message starts with the field's name, which RunConfig renames
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         check_int("k", self.k, 1)
         check_int("n_trees", self.n_trees, 1)
         check_int("seed", self.seed)
         if not 0 < self.c < np.inf:  # NaN fails
-            raise ValueError("c must be > 0 and finite")
+            raise ValueError(f"c must be > 0 and finite, got {self.c!r}")
         if not 0 <= self.lam < np.inf:
-            raise ValueError("lambda must be >= 0 and finite")
+            raise ValueError(f"lam must be >= 0 and finite, got {self.lam!r}")
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,11 @@ class ManifestEntry:
     name: str  # the manifest's path cell, as written
 
 
+# each RunConfig field that sets a TrainConfig field -> the field it sets
+_TRAIN_FIELDS = {"knn_k": "k", "svm_c": "c", "logreg_lambda": "lam", "n_trees": "n_trees",
+                 "seed": "seed"}
+
+
 @dataclass
 class RunConfig:
     """Every CLI setting, checked on construction; all randomness flows from `seed`."""
@@ -72,14 +77,17 @@ class RunConfig:
         check_int("folds", self.folds, 2)
         check_int("max_imfs", self.max_imfs, 1, 10)
         check_int("positive", self.positive, 0, 1)
-        self.train_configs()  # TrainConfig checks k, c, lambda, trees and seed
+        try:
+            self.train_configs()  # TrainConfig checks k, c, lam, n_trees and seed
+        except ValueError as exc:  # name this config's field, as the flags do
+            field, rest = str(exc).split(" ", 1)
+            run_field = {train: run for run, train in _TRAIN_FIELDS.items()}.get(field, field)
+            raise ValueError(f"{run_field} {rest}") from exc
 
     def train_configs(self) -> list[TrainConfig]:
         """One TrainConfig per algorithm, in ALGORITHMS order."""
-        return [TrainConfig(algorithm=name, k=self.knn_k, c=self.svm_c,
-                            lam=self.logreg_lambda, n_trees=self.n_trees,
-                            seed=self.seed)
-                for name in ALGORITHMS]
+        settings = {train: getattr(self, run) for run, train in _TRAIN_FIELDS.items()}
+        return [TrainConfig(algorithm=name, **settings) for name in ALGORITHMS]
 
 
 def _existing(path) -> Path:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSignal, EmptyAudio, MalformedWav, UnsupportedEncoding
+from .errors import (DegenerateSignal, EmptyAudio, MalformedWav, UnsupportedEncoding,
+                     check_int)
 
 _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
@@ -130,6 +131,9 @@ def encode_wav(samples, sample_rate_hz: int, fmt: str = "pcm16") -> bytes:
     """Encode samples into WAV bytes (inverse of decode_wav for clean inputs).
 
     `samples` is (n,) mono or (n, 2) stereo; fmt is "pcm16" or "float32".
+    `sample_rate_hz` is an integer from 1 up to the rate whose byte rate
+    (rate times bytes per frame) still fits the header's 32 bits; anything
+    else raises ValueError.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
@@ -146,8 +150,9 @@ def encode_wav(samples, sample_rate_hz: int, fmt: str = "pcm16") -> bytes:
         raise ValueError(f"unknown format {fmt!r}")
 
     n_channels = x.shape[1]
-    byte_rate = sample_rate_hz * n_channels * bits // 8
     block_align = n_channels * bits // 8
+    check_int("sample rate", sample_rate_hz, 1, (2**32 - 1) // block_align)
+    byte_rate = sample_rate_hz * block_align
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, n_channels,
                                     sample_rate_hz, byte_rate, block_align, bits)

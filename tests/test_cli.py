@@ -21,6 +21,13 @@ REPORT_FILES = ("metrics.csv", "confusion.txt", "summary.txt",
                 *(f"roc_{name}.csv" for name in ALGORITHMS))
 
 
+def zero_rate_wav() -> bytes:
+    """A mono pcm16 WAV whose header says 0 Hz (encode_wav rejects that rate)."""
+    wav = bytearray(encode_wav(np.sin(np.linspace(0, 20, 400)), RATE))
+    wav[24:28] = bytes(4)  # the fmt chunk's sample-rate field
+    return bytes(wav)
+
+
 def small_corpus(root, n_per_class=8, n_samples=1200):
     return generate_corpus(root / "corpus", n_per_class=n_per_class,
                            seed=3, n_samples=n_samples)
@@ -139,7 +146,7 @@ class TestRunExtract:
     def test_invalid_signal_goes_to_sidecar(self, tmp_path):
         wav = encode_wav(np.sin(np.linspace(0, 20, 400)), RATE)
         (tmp_path / "a.wav").write_bytes(wav)
-        (tmp_path / "zero_rate.wav").write_bytes(encode_wav(np.sin(np.linspace(0, 20, 400)), 0))
+        (tmp_path / "zero_rate.wav").write_bytes(zero_rate_wav())
         (tmp_path / "c.wav").write_bytes(wav)
         m = tmp_path / "manifest.csv"
         m.write_text("path,label\na.wav,0\nzero_rate.wav,1\nc.wav,1\n")
@@ -344,7 +351,7 @@ class TestRunConfig:
         ("knn_k", 0), ("svm_c", 0), ("n_trees", 0), ("logreg_lambda", -1), ("seed", -1),
     ])
     def test_classifier_settings_checked_on_construction(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             RunConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
@@ -398,12 +405,19 @@ class TestEvaluateFlags:
         assert via_main != self.run_main(small_cache, tmp_path / "defaults")
 
     @pytest.mark.parametrize("flag, value", [("--knn-k", "0"), ("--seed", "-1"),
-                                             ("--svm-c", "nan"), ("--logreg-lambda", "inf")])
+                                             ("--svm-c", "nan"), ("--logreg-lambda", "inf"),
+                                             ("--svm-c", "0"), ("--logreg-lambda", "-1"),
+                                             ("--trees", "0")])
     def test_bad_value_exits_before_output(self, small_cache, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
         code = main(["evaluate", "--cache", str(small_cache), "--out", str(out), flag, value])
         assert code == 2
         assert not out.exists()
+        # one stderr line, naming the RunConfig field the flag sets
+        field = {f: name for f, name, _ in EVALUATE_FLAGS}[flag]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: ValueError: {field} must be ")
 
 
 class TestMainEntry:
@@ -485,7 +499,7 @@ class TestMainEntry:
 
     def test_zero_rate_wav_decompose_exit_code(self, tmp_path, capsys):
         wav = tmp_path / "zero_rate.wav"
-        wav.write_bytes(encode_wav(np.sin(np.linspace(0, 20, 400)), 0))
+        wav.write_bytes(zero_rate_wav())
         out = tmp_path / "d.csv"
         assert main(["decompose", "--wav", str(wav), "--out", str(out)]) == 3
         assert not out.exists()

@@ -151,6 +151,24 @@ class TestEncodeWav:
         with pytest.raises(ValueError, match=match):
             encode_wav(samples, 8000, fmt=fmt)
 
+    # the byte rate field is 32 bits: rate * 2 for mono pcm16, rate * 8 for stereo float32
+    @pytest.mark.parametrize("rate, channels, fmt", [
+        (2.5, 1, "pcm16"), (float("nan"), 1, "pcm16"), (-1, 1, "pcm16"), (0, 1, "pcm16"),
+        (2**31, 1, "pcm16"), (2**29, 2, "float32"), ("8000", 1, "pcm16"),
+    ])
+    def test_bad_sample_rate_rejected(self, rate, channels, fmt):
+        with pytest.raises(ValueError, match="sample rate must be an integer in"):
+            encode_wav(np.zeros((4, channels)), rate, fmt=fmt)
+
+    @pytest.mark.parametrize("channels, fmt", [(1, "pcm16"), (2, "pcm16"), (1, "float32"),
+                                               (2, "float32")])
+    def test_largest_sample_rate_round_trips(self, channels, fmt):
+        rate = (2**32 - 1) // (channels * (2 if fmt == "pcm16" else 4))
+        samples = (np.arange(-4, 4) / 8).repeat(channels).reshape(8, channels)  # exact in both formats
+        sig = decode_wav(encode_wav(samples, np.int64(rate), fmt=fmt))
+        assert sig.sample_rate_hz == rate
+        assert np.array_equal(sig.samples, samples[:, 0])
+
 
 class TestSignal:
     def test_too_short(self):
