@@ -122,7 +122,7 @@ def score(model: TrainedModel, x):
 
 
 def _dot(X, w):
-    """`X @ w` for a vector w: one sum over the last axis of X, without BLAS."""
+    """The product of X and a vector w: one sum over X's last axis, no BLAS."""
     return np.einsum("...i,i->...", X, w)
 
 
@@ -131,7 +131,7 @@ def _solve(A, b):
 
     numpy row operations in place of LAPACK's getrf/getrs, so the bits do not
     depend on the BLAS kernel. Raises np.linalg.LinAlgError on a zero pivot,
-    as np.linalg.solve does.
+    as numpy's LAPACK solve does.
     """
     m = b.size
     M = np.column_stack([A, b])  # augmented: b is eliminated with A
@@ -281,25 +281,23 @@ def _fit_svm(config, X, y):
     Xa = np.hstack([(X - mu) / sd, np.ones((n, 1))])  # bias as a constant feature
     yy = (2 * y - 1).astype(np.float64)
     qii = (Xa * Xa).sum(axis=1)
-    alpha = np.zeros(n)
     w = np.zeros(Xa.shape[1])
-    # the coordinate loop reads rows as views and y, q, alpha as Python floats,
-    # which cost less per step than numpy scalars and round the same
+    # The coordinate loop reads rows as views and y, q and alpha as Python
+    # floats, which cost less per step than numpy scalars and round the same.
+    alpha = [0.0] * n
     coords = list(zip(range(n), Xa, yy.tolist(), qii.tolist()))
     buf = np.empty_like(w)  # holds w * row before its sum
     for _ in range(SVM_MAX_EPOCHS):
         changed = 0.0
-        a = alpha.tolist()
         for i, row, yi, qi in coords:  # deterministic cyclic order, never shuffled
             g = yi * float(np.add.reduce(np.multiply(w, row, out=buf))) - 1.0
-            a_old = a[i]
+            a_old = alpha[i]
             a_new = min(max(a_old - g / qi, 0.0), c)
             if a_new != a_old:
                 w += (a_new - a_old) * yi * row
-                a[i] = a_new
+                alpha[i] = a_new
                 changed = max(changed, abs(a_new - a_old))
-        alpha = np.array(a)
-        dual = alpha.sum() - 0.5 * float(_dot(w, w))
+        dual = np.sum(alpha) - 0.5 * float(_dot(w, w))
         if svm_objective(w, Xa, yy, c) - dual <= SVM_GAP_TOL:
             break
         if changed == 0.0:
