@@ -79,7 +79,7 @@ class RunConfig:
         check_int("positive", self.positive, 0, 1)
         try:
             self.train_configs()  # TrainConfig checks k, c, lam, n_trees and seed
-        except ValueError as exc:  # name this config's field, as the flags do
+        except ValueError as exc:  # name this config's field, as the checks above do
             field, rest = str(exc).split(" ", 1)
             run_field = {train: run for run, train in _TRAIN_FIELDS.items()}.get(field, field)
             raise ValueError(f"{run_field} {rest}") from exc
