@@ -10,8 +10,8 @@ capability.
 from .classifiers import (ALGORITHMS, TrainConfig, TrainedModel, fit,
                           model_from_json, model_to_json, predict, score)
 from .emd import (ExtremaSet, ImfCheck, ImfDecomposition, count_zero_crossings,
-                  decompose, find_local_extrema, is_imf, mean_envelope, sift,
-                  spline_envelope, write_decomposition_csv)
+                  decompose, find_local_extrema, is_imf, sift, spline_envelope,
+                  write_decomposition_csv)
 from .evaluation import (ConfusionMatrix, CrossValidationResult, MetricsReport,
                          RocCurve, confusion, cross_validate, metrics, roc,
                          stratified_kfold)
@@ -29,9 +29,9 @@ __all__ = [
     "LabeledDataset", "MetricsReport", "RocCurve", "Signal", "TrainConfig",
     "TrainedModel", "confusion", "count_zero_crossings", "cross_validate",
     "decode_wav", "decompose", "encode_wav", "extract_feature_vector",
-    "find_local_extrema", "fit", "hjorth", "is_imf", "mean_envelope",
-    "metrics", "model_from_json", "model_to_json", "predict",
-    "read_feature_cache", "roc", "score", "shannon_entropy", "sift",
-    "spline_envelope", "stratified_kfold", "write_decomposition_csv",
-    "write_feature_cache", "z_normalize", "zero_crossing_rate",
+    "find_local_extrema", "fit", "hjorth", "is_imf", "metrics",
+    "model_from_json", "model_to_json", "predict", "read_feature_cache", "roc",
+    "score", "shannon_entropy", "sift", "spline_envelope", "stratified_kfold",
+    "write_decomposition_csv", "write_feature_cache", "z_normalize",
+    "zero_crossing_rate",
 ]

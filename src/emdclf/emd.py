@@ -29,7 +29,7 @@ from glob import glob
 
 import numpy as np
 
-from .errors import InsufficientExtrema, TooShort, check_int
+from .errors import TooShort, check_int
 from .signal import Signal
 
 #: envelope-mean symmetry bound, relative to peak amplitude
@@ -295,18 +295,6 @@ def _envelope_mean(x: np.ndarray, ext: ExtremaSet) -> np.ndarray:
     mean = _splines(xk, yk, a, n)
     mean *= 0.5
     return mean
-
-
-def mean_envelope(samples) -> np.ndarray:
-    """Average of the maxima spline and the minima spline.
-
-    Needs at least 2 maxima and 2 minima; raises InsufficientExtrema
-    otherwise, and ValueError when a sample is NaN or infinite.
-    """
-    check, envelope = _check_candidate(np.asarray(samples, dtype=np.float64))
-    if envelope is None:
-        raise InsufficientExtrema(f"{check.n_maxima} maxima / {check.n_minima} minima")
-    return envelope
 
 
 def count_zero_crossings(samples) -> int:

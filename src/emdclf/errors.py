@@ -29,17 +29,14 @@ class EmptyAudio(Error):
 
 
 class DegenerateSignal(Error):
-    """Constant signal: zero standard deviation, z-score undefined."""
+    """Constant signal: a sample standard deviation of at most 1e-12 of the
+    peak amplitude, so the z-score is undefined."""
 
 
 # --- decomposition ----------------------------------------------------------
 
 class TooShort(Error):
     """Sequence (or spline knot set) is shorter than the operation requires."""
-
-
-class InsufficientExtrema(Error):
-    """Fewer than 2 maxima or 2 minima: `mean_envelope` has no envelope to return."""
 
 
 # --- classifiers ------------------------------------------------------------

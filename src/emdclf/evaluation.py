@@ -132,10 +132,10 @@ def roc(scores, y_true) -> RocCurve:
     """Threshold sweep over the distinct scores, descending; tied scores group.
 
     AUC is the trapezoidal area, which equals the Mann-Whitney statistic
-    with ties counted 1/2.
+    with ties counted 1/2. Each label must be 0 or 1 (else ValueError).
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(y_true)
+    y = check_labels(y_true)
     if s.shape != y.shape:
         raise DimensionMismatch(f"{s.shape} vs {y.shape}")
     if not np.all(np.isfinite(s)):
@@ -166,10 +166,12 @@ def cross_validate(config, data, k: int = 5, seed: int = 0,
     Each fold is scored once; its hard labels are `score >= 0.5`, which is
     how `classifiers.predict` is defined. For `positive=0` the pooled labels,
     hard labels and scores are then flipped once, so a 0.5 score still predicts 1.
-    `positive` must be the integer 0 or 1, and every label 0 or 1 (else ValueError).
+    `positive` must be the integer 0 or 1, each label 0 or 1, and the labels
+    parallel the feature rows (else ValueError, before any fold is drawn).
     """
     check_int("positive", positive, 0, 1)
-    X, y = np.asarray(data.features, dtype=np.float64), check_labels(data.labels)
+    data = LabeledDataset(data.features, data.labels)
+    X, y = data.features, data.labels
     folds = stratified_kfold(y, k, seed)
 
     y_true_parts, score_parts = [], []

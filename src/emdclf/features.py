@@ -18,6 +18,7 @@ import numpy as np
 
 from .emd import DEFAULT_MAX_IMFS, ImfDecomposition, count_zero_crossings
 from .errors import CacheFormatError, TooShort, check_labels
+from .signal import _unit_scaled
 
 FEATURE_NAMES = ("mean_abs", "std", "rms", "skewness", "kurtosis",
                  "zcr_hz", "entropy_bits", "hjorth_mobility", "hjorth_complexity")
@@ -114,15 +115,6 @@ def hjorth(samples):
     mobility_dx = np.sqrt(float(np.var(ddx)) / var_dx) if var_dx > 0 else 0.0
     complexity = mobility_dx / mobility if mobility > 0 else 0.0
     return var_x, float(mobility), float(complexity)
-
-
-def _unit_scaled(x: np.ndarray):
-    """(x * 2**-e, e), where e brings the largest |x| into [0.5, 1) when it lies
-    outside (2**-200, 2**200), so squares, fourth powers and sums of the
-    result neither under- nor overflow; e = 0 (and x itself) otherwise."""
-    peak = np.abs(x).max()
-    e = 0 if 2.0**-200 < peak < 2.0**200 else int(np.frexp(peak)[1])  # 0 for 0, inf, NaN
-    return (np.ldexp(x, -e) if e else x), e
 
 
 def _shape_moments(x: np.ndarray) -> tuple[float, float]:

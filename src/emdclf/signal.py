@@ -160,11 +160,25 @@ def encode_wav(samples, sample_rate_hz: int, fmt: str = "pcm16") -> bytes:
     return header + payload
 
 
+def _unit_scaled(x: np.ndarray):
+    """(x * 2**-e, e), where e brings the largest |x| into [0.5, 1) when it lies
+    outside (2**-200, 2**200), so squares, fourth powers and sums of the
+    result neither under- nor overflow; e = 0 (and x itself) otherwise."""
+    peak = np.abs(x).max()
+    e = 0 if 2.0**-200 < peak < 2.0**200 else int(np.frexp(peak)[1])  # 0 for 0, inf, NaN
+    return (np.ldexp(x, -e) if e else x), e
+
+
 def z_normalize(signal: Signal) -> Signal:
-    """Rescale to mean 0 and unit sample (n-1 divisor) standard deviation."""
-    x = signal.samples
+    """Rescale to mean 0 and unit sample (n-1 divisor) standard deviation.
+
+    The mean and spread are taken of the samples scaled by a power of two
+    (`_unit_scaled`), so the result does not depend on the signal's scale.
+    A spread of at most 1e-12 of the peak amplitude raises DegenerateSignal.
+    """
+    x = _unit_scaled(signal.samples)[0]
     sd = x.std(ddof=1)
-    if sd <= 1e-12:
+    if sd <= 1e-12 * np.abs(x).max():
         raise DegenerateSignal(f"constant signal {signal.source_id!r}")
     z = (x - x.mean()) / sd
     return Signal(z, signal.sample_rate_hz, signal.source_id)

@@ -1,4 +1,5 @@
-"""The README's code runs as written, and the documented command line is the parser's."""
+"""The README's code runs as written, the documented command line is the parser's,
+and the package exports every name its `__all__` lists."""
 
 import re
 import warnings
@@ -6,10 +7,16 @@ from pathlib import Path
 
 import pytest
 
+import emdclf
 from emdclf import cli
 from emdclf.cli import RunConfig, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_export_list_resolves_without_repeats():
+    assert [name for name in emdclf.__all__ if not hasattr(emdclf, name)] == []
+    assert len(set(emdclf.__all__)) == len(emdclf.__all__)
 
 
 def test_library_quick_start_runs():

@@ -1,11 +1,12 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from emdclf import classifiers
+from emdclf import classifiers, evaluation
 from emdclf.classifiers import TrainConfig, fit, predict, score
 from emdclf.errors import (DimensionMismatch, Empty, SingleClassData,
                            TooFewPerClass)
@@ -273,6 +274,11 @@ class TestRoc:
         with pytest.raises(ValueError, match="scores must be finite"):
             roc([np.nan, 0.2], [0, 1])
 
+    @pytest.mark.parametrize("stray", [2, 0.5])
+    def test_labels_other_than_zero_or_one_rejected(self, stray):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            roc([0.2, 0.8, 0.5, 0.4], [0, 1, stray, 1])
+
 
 class TestCrossValidate:
     def test_pooled_totals(self, gaussian_data):
@@ -293,6 +299,13 @@ class TestCrossValidate:
     def test_positive_must_be_zero_or_one(self, gaussian_data, positive):
         with pytest.raises(ValueError, match=r"positive must be an integer in \[0, 1\]"):
             cross_validate(TrainConfig("lda"), gaussian_data, k=5, seed=42, positive=positive)
+
+    @pytest.mark.parametrize("n_rows, n_labels", [(10, 12), (12, 10)])
+    def test_rows_and_labels_of_different_lengths_rejected(self, monkeypatch, n_rows, n_labels):
+        data = SimpleNamespace(features=np.zeros((n_rows, 3)), labels=np.arange(n_labels) % 2)
+        monkeypatch.setattr(evaluation, "stratified_kfold", None)  # any fold drawn would raise
+        with pytest.raises(ValueError, match="labels must parallel the feature rows"):
+            cross_validate(TrainConfig("lda"), data, k=2, seed=0)
 
     def test_positive_zero_swaps_recall_and_specificity(self, gaussian_data):
         a = cross_validate(TrainConfig("lda"), gaussian_data, k=5, seed=42, positive=1)

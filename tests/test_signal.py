@@ -1,7 +1,10 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from emdclf.errors import DegenerateSignal, EmptyAudio, MalformedWav, UnsupportedEncoding
 from emdclf.signal import Signal, decode_wav, encode_wav, z_normalize
@@ -217,3 +220,24 @@ class TestZNormalize:
             once = z_normalize(Signal(x, 8000))
             twice = z_normalize(once)
             assert np.abs(twice.samples - once.samples).max() <= 1e-9
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 20000))
+    @example(129441.63, 16000)  # its float mean is off by a few ulps, so sd > 1e-12
+    @example(5e-324, 2)
+    def test_any_finite_constant_rejected(self, value, n):
+        with pytest.raises(DegenerateSignal):
+            z_normalize(Signal(np.full(n, value), 8000))
+
+    def test_power_of_two_scale_leaves_bytes(self):
+        x = np.random.default_rng(3).standard_normal(1000)
+        expected = z_normalize(Signal(x, 8000)).samples.tobytes()
+        for k in range(-900, 901):
+            assert z_normalize(Signal(np.ldexp(x, k), 8000)).samples.tobytes() == expected, k
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e200])  # a float32 WAV can hold the first
+    def test_extreme_scale_normalized_without_warning(self, scale):
+        x = np.random.default_rng(4).standard_normal(1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = z_normalize(Signal(scale * x, 8000))
+        assert out.samples == pytest.approx(z_normalize(Signal(x, 8000)).samples)
