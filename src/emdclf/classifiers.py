@@ -39,26 +39,28 @@ SVM_MAX_EPOCHS = 1000
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Algorithm choice plus the per-algorithm hyperparameters."""
+    """Algorithm choice plus the per-algorithm hyperparameters. Each setting and
+    its error use the name of the `cli.RunConfig` field and `evaluate` flag that
+    set it (`knn_k` is `--knn-k`, `n_trees` is `--trees`)."""
 
     algorithm: str
-    k: int = 10                 # knn neighbours
-    c: float = 1.0              # svm soft-margin weight
-    lam: float = 1e-4           # logreg L2 strength
+    knn_k: int = 10             # knn neighbours
+    svm_c: float = 1.0          # svm soft-margin weight
+    logreg_lambda: float = 1e-4  # logreg L2 strength
     n_trees: int = 30           # bagging ensemble size
     seed: int = 0               # bootstrap RNG seed
 
     def __post_init__(self):
-        # each message starts with the field's name, which RunConfig renames
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        check_int("k", self.k, 1)
+        check_int("knn_k", self.knn_k, 1)
         check_int("n_trees", self.n_trees, 1)
         check_int("seed", self.seed)
-        if not 0 < self.c < np.inf:  # NaN fails
-            raise ValueError(f"c must be > 0 and finite, got {self.c!r}")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be >= 0 and finite, got {self.lam!r}")
+        if not 0 < self.svm_c < np.inf:  # NaN fails
+            raise ValueError(f"svm_c must be > 0 and finite, got {self.svm_c!r}")
+        if not 0 <= self.logreg_lambda < np.inf:
+            raise ValueError(
+                f"logreg_lambda must be >= 0 and finite, got {self.logreg_lambda!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def column_scaling(X):
 # --- knn ----------------------------------------------------------------------
 
 def _fit_knn(config, X, y):
-    return {"X": X.copy(), "y": y.copy(), "k": int(config.k)}
+    return {"X": X.copy(), "y": y.copy(), "k": int(config.knn_k)}
 
 
 def _knn_score(params, X):
@@ -184,10 +186,9 @@ def _fit_lda(config, X, y):
     d = X.shape[1]
     if int((y == 0).sum()) < 2 or int((y == 1).sum()) < 2:
         raise SingleClassData("pooled covariance needs >= 2 rows per class")
-    mu0 = X[y == 0].mean(axis=0)
-    mu1 = X[y == 1].mean(axis=0)
-    c0 = X[y == 0] - mu0
-    c1 = X[y == 1] - mu1
+    X0, X1 = X[y == 0], X[y == 1]
+    mu0, mu1 = X0.mean(axis=0), X1.mean(axis=0)
+    c0, c1 = X0 - mu0, X1 - mu1
     cov = (np.einsum("ki,kj->ij", c0, c0) + np.einsum("ki,kj->ij", c1, c1)) / (X.shape[0] - 2)
     cov = cov + (LDA_RIDGE * np.trace(cov) / d) * np.eye(d)
     w = _solve(cov, mu1 - mu0)
@@ -197,12 +198,8 @@ def _fit_lda(config, X, y):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _linear_score(params, X):
@@ -231,7 +228,7 @@ def logreg_gradient(w, b, X, y, lam):
 
 def _fit_logreg(config, X, y):
     n, d = X.shape
-    lam = config.lam
+    lam = config.logreg_lambda
     yf = y.astype(np.float64)
     w = np.zeros(d)
     b = 0.0
@@ -273,7 +270,7 @@ def svm_objective(w_aug, Xa, yy, c):
 
 def _fit_svm(config, X, y):
     n = X.shape[0]
-    c = config.c
+    c = config.svm_c
     # Coordinate descent stalls when columns differ in scale by orders of
     # magnitude, so optimize on standardized columns and fold the affine map
     # back into the returned raw-space weights.
@@ -432,7 +429,7 @@ def model_from_json(text: str) -> TrainedModel:
     X of shape (n, d) and n 0/1 labels; linear models need w of shape (d,);
     bagged_trees needs >= 1 tree of 0/1 leaves and of splits on an integer
     feature in [0, d) with a threshold and both children. X, w, b and every
-    threshold must be finite integers or floats.
+    threshold must be finite integers or floats, b and each threshold a single one.
     """
     try:
         blob = json.loads(text, object_hook=_decode)
@@ -448,7 +445,8 @@ def model_from_json(text: str) -> TrainedModel:
         elif algorithm == "bagged_trees":
             ok = _trees_fit(params["trees"], d)
         else:
-            ok = np.shape(params["w"]) == (d,) and _finite(params["w"], params["b"])
+            w, b = params["w"], params["b"]
+            ok = np.shape(w) == (d,) and isinstance(b, (int, float)) and _finite(w, b)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed model blob: {exc!r}") from exc
     if not ok:

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .classifiers import ALGORITHMS, TrainConfig
@@ -36,10 +38,10 @@ from .features import (N_BLOCKS, LabeledDataset, extract_feature_vector,
 from .signal import decode_wav, z_normalize
 
 _FAILURES = (Error, ValueError, OSError)
-_EXIT_CODES = (
+_EXIT_CODES = (  # first match wins: LinAlgError is a ValueError
+    ((SingleClassData, TooFewPerClass, CacheFormatError, LinAlgError), 4),
     ((MissingFile, ManifestFormatError, ValueError, OSError), 2),
     ((MalformedWav, UnsupportedEncoding, EmptyAudio, DegenerateSignal, NoUsableAudio), 3),
-    ((SingleClassData, TooFewPerClass, CacheFormatError), 4),
 )
 
 
@@ -48,11 +50,6 @@ class ManifestEntry:
     path: Path
     label: int
     name: str  # the manifest's path cell, as written
-
-
-# each RunConfig field that sets a TrainConfig field -> the field it sets
-_TRAIN_FIELDS = {"knn_k": "k", "svm_c": "c", "logreg_lambda": "lam", "n_trees": "n_trees",
-                 "seed": "seed"}
 
 
 @dataclass
@@ -65,10 +62,10 @@ class RunConfig:
     folds: int = 5
     seed: int = 42
     positive: int = 1
-    knn_k: int = TrainConfig.k
-    svm_c: float = TrainConfig.c
+    knn_k: int = TrainConfig.knn_k
+    svm_c: float = TrainConfig.svm_c
     n_trees: int = TrainConfig.n_trees
-    logreg_lambda: float = TrainConfig.lam
+    logreg_lambda: float = TrainConfig.logreg_lambda
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -77,16 +74,12 @@ class RunConfig:
         check_int("folds", self.folds, 2)
         check_int("max_imfs", self.max_imfs, 1, 10)
         check_int("positive", self.positive, 0, 1)
-        try:
-            self.train_configs()  # TrainConfig checks k, c, lam, n_trees and seed
-        except ValueError as exc:  # name this config's field, as the checks above do
-            field, rest = str(exc).split(" ", 1)
-            run_field = {train: run for run, train in _TRAIN_FIELDS.items()}.get(field, field)
-            raise ValueError(f"{run_field} {rest}") from exc
+        self.train_configs()  # TrainConfig checks knn_k, svm_c, ... under these names
 
     def train_configs(self) -> list[TrainConfig]:
         """One TrainConfig per algorithm, in ALGORITHMS order."""
-        settings = {train: getattr(self, run) for run, train in _TRAIN_FIELDS.items()}
+        settings = {f.name: getattr(self, f.name) for f in fields(TrainConfig)
+                    if f.name != "algorithm"}
         return [TrainConfig(algorithm=name, **settings) for name in ALGORITHMS]
 
 

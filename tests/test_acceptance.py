@@ -98,7 +98,7 @@ def test_criterion_5_oracle_equivalences():
     y = rng.integers(0, 2, size=200)
     y[:2] = [0, 1]
     queries = rng.standard_normal((50, 7))
-    model = fit(TrainConfig("knn", k=10), LabeledDataset(X, y))
+    model = fit(TrainConfig("knn", knn_k=10), LabeledDataset(X, y))
     got = predict(model, queries)
     knn_mismatches = 0
     for q, label in zip(queries, got):
@@ -176,7 +176,7 @@ def test_criterion_6_solver_checks():
     assert fd_rel <= 1e-4
 
     # svm: two-point boundary
-    svm = fit(TrainConfig("svm_linear", c=1000.0),
+    svm = fit(TrainConfig("svm_linear", svm_c=1000.0),
               LabeledDataset(np.array([[-1.0], [1.0]]), np.array([0, 1])))
     svm_boundary = -svm.params["b"] / svm.params["w"][0]
     assert abs(svm_boundary) <= 1e-6

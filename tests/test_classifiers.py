@@ -4,12 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emdclf.classifiers import (ALGORITHMS, TrainConfig, TrainedModel,
-                                _gini_best_split, _grow_tree, _solve, column_scaling, fit,
+                                _gini_best_split, _grow_tree, _sigmoid, _solve,
+                                column_scaling, fit,
                                 logreg_gradient, logreg_objective,
                                 model_from_json, model_to_json, predict, score)
 from emdclf.errors import (DimensionMismatch, NonFiniteFeature, SingleClassData)
@@ -90,11 +91,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig("perceptron")
 
-    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(c=0.0), dict(lam=-1.0),
-                                        dict(n_trees=0), dict(seed=-1), dict(k=2.5),
-                                        dict(n_trees=2.5), dict(seed=1.5), dict(k=3.0),
-                                        dict(c=np.nan), dict(c=np.inf), dict(lam=np.nan),
-                                        dict(lam=np.inf)])
+    @pytest.mark.parametrize("kwargs", [dict(knn_k=0), dict(svm_c=0.0),
+                                        dict(logreg_lambda=-1.0), dict(n_trees=0),
+                                        dict(seed=-1), dict(knn_k=2.5), dict(n_trees=2.5),
+                                        dict(seed=1.5), dict(knn_k=3.0), dict(svm_c=np.nan),
+                                        dict(svm_c=np.inf), dict(logreg_lambda=np.nan),
+                                        dict(logreg_lambda=np.inf)])
     def test_invalid_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig("knn", **kwargs)
@@ -124,7 +126,7 @@ class TestFitValidation:
         # a label 2 would give kNN scores above 1; a plain namespace skips LabeledDataset
         data = SimpleNamespace(features=np.arange(6.0)[:, None], labels=np.array([0, 1, 2] * 2))
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
-            fit(TrainConfig(algorithm, k=3), data)
+            fit(TrainConfig(algorithm, knn_k=3), data)
 
     def test_predict_dimension_mismatch(self):
         model = fit(TrainConfig("knn"), dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 0, 1, 1]))
@@ -139,11 +141,11 @@ class TestFitValidation:
 
 class TestKnn:
     def test_nearest_point(self):
-        model = fit(TrainConfig("knn", k=1), dataset([[0, 0], [10, 10]], [0, 1]))
+        model = fit(TrainConfig("knn", knn_k=1), dataset([[0, 0], [10, 10]], [0, 1]))
         assert predict(model, [1.0, 1.0]) == 0
 
     def test_three_neighbour_majority(self):
-        model = fit(TrainConfig("knn", k=3),
+        model = fit(TrainConfig("knn", knn_k=3),
                     dataset([[0, 0], [0.1, 0], [10, 10]], [0, 0, 1]))
         assert predict(model, [5.0, 5.0]) == 0
 
@@ -151,7 +153,7 @@ class TestKnn:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((10, 2))
         y = np.array([1] * 7 + [0] * 3)
-        model = fit(TrainConfig("knn", k=10), dataset(X, y))
+        model = fit(TrainConfig("knn", knn_k=10), dataset(X, y))
         # all ten rows are the neighbourhood; 7 of 10 are labeled 1
         assert score(model, [0.0, 0.0]) == pytest.approx(0.7)
 
@@ -163,7 +165,7 @@ class TestKnn:
         queries = rng.standard_normal((50, 5))
         ties = 0
         for k in (1, 3, 10):
-            model = fit(TrainConfig("knn", k=k), dataset(X, y))
+            model = fit(TrainConfig("knn", knn_k=k), dataset(X, y))
             got = predict(model, queries)
             got_scores = score(model, queries)
             for q, label, s in zip(queries, got, got_scores):
@@ -186,7 +188,7 @@ class TestKnn:
         # rows 0..k-1 on a line, labels alternate 0, 1, ...: every query sees a tie
         X = np.arange(k, dtype=float)[:, None]
         y = np.array([0, 1] * (k // 2))
-        model = fit(TrainConfig("knn", k=k), dataset(X, y))
+        model = fit(TrainConfig("knn", knn_k=k), dataset(X, y))
         assert score(model, [-1.0]) == (k // 2 - 0.5) / k  # nearest is row 0, label 0
         assert predict(model, [-1.0]) == 0
         assert score(model, [float(k)]) == (k // 2 + 0.5) / k  # nearest is labelled 1
@@ -260,6 +262,24 @@ class TestLda:
                               predict(mapped, queries @ A.T + shift))
 
 
+def two_branch_sigmoid(z):
+    """The logistic function with one exp per sign, each on its own rows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 300),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([0.0, -0.0, 745.2, -745.2, 1e-320, -1e-320]))
+def test_sigmoid_matches_two_branch_form(z):
+    assert _sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+
 class TestLogreg:
     def random_dataset(self, seed, n=40, d=3):
         rng = np.random.default_rng(seed)
@@ -313,7 +333,7 @@ class TestSvmLinear:
         assert sd.tolist() == [2.0, 1.0]  # the constant column maps to 0, not NaN
 
     def test_two_point_max_margin(self):
-        model = fit(TrainConfig("svm_linear", c=1000.0),
+        model = fit(TrainConfig("svm_linear", svm_c=1000.0),
                     dataset([[-1.0], [1.0]], [0, 1]))
         w, b = model.params["w"], model.params["b"]
         assert abs(-b / w[0]) <= 1e-6              # boundary at 0
@@ -406,7 +426,7 @@ def overlapping_models():
     """One model per algorithm, plus even-k kNN, on overlapping classes."""
     data = two_gaussians(seed=16, n_per_class=30, offset=0.5)
     models = {a: fit(TrainConfig(a, n_trees=10, seed=2), data) for a in ALGORITHMS}
-    models["knn_k2"] = fit(TrainConfig("knn", k=2), data)
+    models["knn_k2"] = fit(TrainConfig("knn", knn_k=2), data)
     return models
 
 
@@ -482,10 +502,12 @@ class TestSerialization:
         ("lda", {"b": "0.5"}),
         ("bagged_trees", {"trees": [{**_split(0, {"label": 0}, {"label": 1}),
                                      "threshold": float("nan")}]}),
+        ("lda", {"b": [0.5]}),
+        ("lda", {"b": [0.5, -40.0]}),  # scored two equal rows 0.62 and 4e-18
     ])
     def test_inconsistent_blob_rejected(self, algorithm, changes):
         """`changes` updates the params (DROP deletes a key) or maps the whole blob."""
-        model = fit(TrainConfig(algorithm, k=3), two_gaussians(seed=15, n_per_class=5))
+        model = fit(TrainConfig(algorithm, knn_k=3), two_gaussians(seed=15, n_per_class=5))
         blob = json.loads(model_to_json(model))
         if callable(changes):
             blob = changes(blob)

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdclf import ALGORITHMS, __version__, emd
+from emdclf.classifiers import TrainConfig
 from emdclf.cli import (ManifestEntry, RunConfig, load_manifest, main,
                         run_evaluate, run_extract)
 from emdclf.errors import (CacheFormatError, DegenerateSignal, ManifestFormatError,
@@ -333,6 +335,11 @@ class TestRunEvaluate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# every TrainConfig setting -> its default; and the same for RunConfig's fields
+TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "algorithm"}
+RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
 class TestRunConfig:
     def test_folds_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -362,6 +369,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             RunConfig(**{field: value})
         assert getattr(RunConfig(**{field: np.int64(int(value))}), field) == int(value)
+
+    @pytest.mark.parametrize("name", TRAIN_DEFAULTS)
+    def test_train_settings_share_runconfig_names(self, name):
+        # the same default, except the seed: 42 for a run against 0 for a fit
+        assert RUN_DEFAULTS[name] == {"seed": 42}.get(name, TRAIN_DEFAULTS[name])
+        for bad in (-1, float("nan")):
+            with pytest.raises(ValueError) as via_run:
+                RunConfig(**{name: bad})
+            with pytest.raises(ValueError) as via_train:
+                TrainConfig("knn", **{name: bad})
+            assert str(via_run.value) == str(via_train.value)
 
     def test_string_paths_accepted(self, tmp_path):
         manifest = small_corpus(tmp_path, n_per_class=4)
@@ -521,6 +539,18 @@ class TestMainEntry:
         assert main(["evaluate", "--cache", str(cache), "--out", str(out), "--folds", "2"]) == 4
         assert not out.exists()
         assert "SingleClassData" in capsys.readouterr().err
+
+    def test_feature_table_without_spread_exit_code(self, tmp_path, capsys):
+        # all-zero rows, as a corpus of zero-mode files gives: LDA's pooled
+        # covariance and its ridge are both 0, so its solve meets a zero pivot
+        cache = tmp_path / "features.csv"
+        header = ",".join(["source_id", *(f"f{i}" for i in range(1, N_FEATURES + 1)), "label"])
+        rows = [",".join([f"r{i}.wav", *["0"] * N_FEATURES, str(i % 2)]) for i in range(12)]
+        cache.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", "--cache", str(cache), "--out", str(out), "--folds", "2"]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: LinAlgError: Singular matrix\n"
 
     def test_unwritable_dump_exit_code(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"

@@ -316,7 +316,7 @@ class TestCrossValidate:
 
     def test_each_fold_scored_once(self, monkeypatch):
         data = two_gaussians(seed=17, n_per_class=40, offset=0.3)
-        config = TrainConfig("knn", k=10)
+        config = TrainConfig("knn", knn_k=10)
         folds = stratified_kfold(data.labels, 5, seed=3)
         y_true, y_pred, s = [], [], []
         for fold in folds:
